@@ -81,20 +81,91 @@ let sysreg_iss ~(access : Sysreg.access) ~rt ~is_read =
   lor (op2 lsl 17)
   lor (op0 lsl 20)
 
-type decoded_sysreg = {
-  ds_enc : int * int * int * int * int;
-  ds_rt : int;
-  ds_is_read : bool;
-}
+let sysreg_iss_rt iss = (iss lsr 5) land 0x1f
+let sysreg_iss_is_read iss = iss land 1 = 1
 
-let decode_sysreg_iss iss =
-  let bit n = (iss lsr n) land 1 in
-  let field lo width = (iss lsr lo) land ((1 lsl width) - 1) in
-  {
-    ds_enc = (field 20 2, field 14 3, field 10 4, field 1 4, field 17 3);
-    ds_rt = field 5 5;
-    ds_is_read = bit 0 = 1;
-  }
+(* The register a trapped MSR/MRS names is a function of the ISS's five
+   encoding fields alone.  They pack into a 16-bit key — the ISS with Rt
+   and the direction bit squeezed out: CRm[3:0], CRn[7:4], Op1[10:8],
+   Op2[13:11], Op0[15:14] — looked up in a small open-addressed table
+   built once from the register database: [reg_keys] holds the keys
+   (0 = empty slot; every register has Op0 >= 2, so no key is 0),
+   [reg_slots] the dense index + 1 of the register with that encoding.
+   Both are [Bytes] (opaque to the GC) and the lookup returns
+   preallocated [Some access] values, so a decode allocates nothing. *)
+let iss_key iss = ((iss lsr 6) land 0xfff0) lor ((iss lsr 1) land 0xf)
+
+let enc_key (op0, op1, crn, crm, op2) =
+  (op0 lsl 14) lor (op2 lsl 11) lor (op1 lsl 8) lor (crn lsl 4) lor crm
+
+let with_op1 key op1 = (key land lnot (7 lsl 8)) lor (op1 lsl 8)
+
+let table_bits = 9
+let table_mask = (1 lsl table_bits) - 1
+let hash key = ((key * 0x9e37) lsr 7) land table_mask
+
+(* domain-safety: allowlisted global — built at module load from the
+   immutable register database, read-only afterwards. *)
+let reg_keys, reg_slots =
+  assert (Sysreg.count < 256 && Sysreg.count < 1 lsl table_bits);
+  let keys = Bytes.make (2 lsl table_bits) '\000' in
+  let slots = Bytes.make (1 lsl table_bits) '\000' in
+  List.iter
+    (fun r ->
+      let key = enc_key (Sysreg.enc r) in
+      let rec place h =
+        let k = Bytes.get_uint16_le keys (2 * h) in
+        if k = 0 || k = key then begin
+          (* a duplicate encoding keeps the later register, as [of_enc] *)
+          Bytes.set_uint16_le keys (2 * h) key;
+          Bytes.set_uint8 slots h (Sysreg.index r + 1)
+        end
+        else place ((h + 1) land table_mask)
+      in
+      place (hash key))
+    Sysreg.all;
+  (keys, slots)
+
+(* Dense index + 1 of the register encoded by [key], 0 for none. *)
+let find_reg key =
+  let rec probe h =
+    let k = Bytes.get_uint16_le reg_keys (2 * h) in
+    if k = key then Bytes.get_uint8 reg_slots h
+    else if k = 0 then 0
+    else probe ((h + 1) land table_mask)
+  in
+  probe (hash key)
+
+(* [Some access] for every (register, alias) a decode can return, at
+   3 * dense index + alias; only registers with Op1=0 are reachable
+   through the _EL12 fallback and only those with Op1=3 through _EL02.
+   domain-safety: allowlisted global — built at module load, read-only
+   afterwards. *)
+let trapped_accesses : Sysreg.access option array =
+  Array.init (3 * Sysreg.count) (fun c ->
+      let r = Sysreg.of_index (c / 3) in
+      let _, op1, _, _, _ = Sysreg.enc r in
+      match c mod 3 with
+      | 0 -> Some (Sysreg.direct r)
+      | 1 when op1 = 0 -> Some (Sysreg.el12 r)
+      | 2 when op1 = 3 -> Some (Sysreg.el02 r)
+      | _ -> None)
+
+(* Resolution order: the register with exactly this encoding (direct);
+   else the Op1=0 register reached through its _EL12 alias; else the
+   Op1=3 register through its _EL02 alias — for any Op1, not only the
+   architectural Op1=5 alias space. *)
+let sysreg_iss_access iss =
+  let key = iss_key iss in
+  let d = find_reg key in
+  if d <> 0 then Array.unsafe_get trapped_accesses (3 * (d - 1))
+  else
+    let d = find_reg (with_op1 key 0) in
+    if d <> 0 then Array.unsafe_get trapped_accesses ((3 * (d - 1)) + 1)
+    else
+      let d = find_reg (with_op1 key 3) in
+      if d <> 0 then Array.unsafe_get trapped_accesses ((3 * (d - 1)) + 2)
+      else None
 
 (* ISS for HVC/SVC/SMC carries the 16-bit immediate. *)
 let hvc_iss imm = imm land 0xffff

@@ -31,13 +31,19 @@ val sysreg_iss : access:Sysreg.access -> rt:int -> is_read:bool -> int
 (** ISS for a trapped MSR/MRS per the ARM ARM: direction bit 0, CRm[4:1],
     Rt[9:5], CRn[13:10], Op1[16:14], Op2[19:17], Op0[21:20]. *)
 
-type decoded_sysreg = {
-  ds_enc : int * int * int * int * int;
-  ds_rt : int;
-  ds_is_read : bool;
-}
+val sysreg_iss_rt : int -> int
+(** The Rt field of a trapped-MSR/MRS ISS. *)
 
-val decode_sysreg_iss : int -> decoded_sysreg
+val sysreg_iss_is_read : int -> bool
+(** The direction bit of a trapped-MSR/MRS ISS: true for MRS. *)
+
+val sysreg_iss_access : int -> Sysreg.access option
+(** The register access a trapped-MSR/MRS ISS names: the register with
+    exactly its encoding; else, with Op1 replaced by 0, an EL1 register
+    reached through its [_EL12] alias; else, with Op1 replaced by 3, an
+    EL0 register through its [_EL02] alias (for any Op1); else [None].
+    One table lookup; the results are preallocated, so it allocates
+    nothing. *)
 
 val hvc_iss : int -> int
 (** The 16-bit immediate carried by HVC/SVC/SMC. *)

@@ -109,6 +109,29 @@ let write64 t addr v =
   if addr >= t.code_lo && addr < t.code_hi then t.code_gen <- t.code_gen + 1;
   match t.on_write with None -> () | Some f -> f addr
 
+(* --- page-level word access ---
+
+   For loops that move many words within one page (the host's
+   world-switch context areas, the deferred access page): look the page
+   up once, then read or write its bytes directly.  A direct store skips
+   [write64]'s per-word code-envelope check and observer call, so a loop
+   may only store directly into a page for which [plain_page] holds; it
+   must otherwise fall back to [write64] per word. *)
+
+let page_of t addr = find_page t (page_index addr)
+
+let page_for_store t addr = get_or_create_page t (page_index addr)
+
+let page_offset addr = byte_index addr
+
+let plain_page t addr =
+  match t.on_write with
+  | Some _ -> false
+  | None ->
+    let lo = Int64.logand addr (Int64.lognot 0xfffL) in
+    let hi = Int64.add lo (Int64.of_int page_bytes) in
+    not (lo < t.code_hi && hi > t.code_lo)
+
 let add_mmio_region t ~start ~len ~name =
   t.mmio <- (start, Int64.add start len, name) :: t.mmio
 

@@ -48,25 +48,52 @@ let[@inline] set_index t i v = set_word t.values (i * 8) v
 
 let[@inline] read t r = get_index t (Sysreg.index r)
 
+let index_equals t i v = Int64.equal (get_index t i) v
+
 (* Writability by dense index, so the software-write check reuses the
    index computed for the store instead of a second variant dispatch. *)
 let writable : Bytes.t =
   Bytes.init Sysreg.count (fun i ->
       if Sysreg.read_only (Sysreg.of_index i) then '\000' else '\001')
 
-let write t r v =
-  let i = Sysreg.index r in
+let[@inline] write_index t i v =
   if Bytes.unsafe_get writable i = '\001' then begin
     set_index t i v;
     Bytes.unsafe_set t.dirty i '\001'
   end
 
+let write t r v = write_index t (Sysreg.index r) v
+
 (* Unchecked write, for hardware-internal updates (e.g. the CPU setting
    ESR_EL2 on exception entry, the GIC updating ICH_MISR). *)
-let hw_write t r v =
-  let i = Sysreg.index r in
+let[@inline] hw_write_index t i v =
   set_index t i v;
   Bytes.unsafe_set t.dirty i '\001'
+
+let hw_write t r v = hw_write_index t (Sysreg.index r) v
+
+(* Page-resolved copy loops: word [k] moves between register [regs.(k)]
+   and byte offset [offs.(k)] of a memory page's bytes (an
+   {!Memory.page_of} page; zero-length when unbacked, reading as zero).
+   Unboxed end to end. *)
+let to_page t ~regs ~offs page =
+  for k = 0 to Array.length regs - 1 do
+    set_word page (Array.unsafe_get offs k) (get_index t (Array.unsafe_get regs k))
+  done
+
+let of_page t ~checked ~regs ~offs page =
+  let n = Array.length regs in
+  if Bytes.length page = 0 then
+    for k = 0 to n - 1 do
+      if checked then write_index t (Array.unsafe_get regs k) 0L
+      else hw_write_index t (Array.unsafe_get regs k) 0L
+    done
+  else
+    for k = 0 to n - 1 do
+      let v = get_word page (Array.unsafe_get offs k) in
+      if checked then write_index t (Array.unsafe_get regs k) v
+      else hw_write_index t (Array.unsafe_get regs k) v
+    done
 
 let reset t =
   Bytes.blit reset_values 0 t.values 0 (Sysreg.count * 8);

@@ -19,6 +19,9 @@ val read : t -> Sysreg.t -> int64
 val get_index : t -> int -> int64
 (** Raw read by dense {!Sysreg.index} (serialization, compiled loops). *)
 
+val index_equals : t -> int -> int64 -> bool
+(** [get_index t i = v], without boxing the register value. *)
+
 val set_index : t -> int -> int64 -> unit
 (** Raw write by dense index; does not touch the dirty bitmap. *)
 
@@ -28,6 +31,26 @@ val write : t -> Sysreg.t -> int64 -> unit
 val hw_write : t -> Sysreg.t -> int64 -> unit
 (** Unchecked write for hardware-internal updates (exception entry setting
     ESR, the GIC updating status registers). *)
+
+val write_index : t -> int -> int64 -> unit
+(** {!write} by dense index (compiled loops): skips read-only registers,
+    marks the register dirty. *)
+
+val hw_write_index : t -> int -> int64 -> unit
+(** {!hw_write} by dense index. *)
+
+val to_page : t -> regs:int array -> offs:int array -> Bytes.t -> unit
+(** [to_page t ~regs ~offs page] stores register [regs.(k)] (a dense
+    index) into the 8-byte word at byte [offs.(k)] of [page] (a
+    {!Memory.page_of}/{!Memory.page_for_store} page), for every [k].  A
+    raw page store: the caller has checked {!Memory.plain_page}. *)
+
+val of_page :
+  t -> checked:bool -> regs:int array -> offs:int array -> Bytes.t -> unit
+(** The reverse: writes register [regs.(k)] from the word at [offs.(k)],
+    in order, as {!write_index} when [checked] (read-only registers keep
+    their value) or {!hw_write_index} otherwise.  A zero-length page (an
+    unbacked one) reads as zero. *)
 
 val reset : t -> unit
 

@@ -45,6 +45,30 @@ val drain : t -> write_virtual:(Arm.Sysreg.t -> int64 -> unit) -> unit
 (** Read every slot back into a register sink, when the host needs the
     authoritative values (trapped eret, vCPU descheduling). *)
 
+(** A subset of the layout's slots split by the register file backing
+    them: EL2-level registers and EL1/EL0-level ones, each as parallel
+    arrays of dense register indices and page byte offsets. *)
+type slots = {
+  el2_regs : int array;
+  el2_offs : int array;
+  el1_regs : int array;
+  el1_offs : int array;
+}
+
+val slots : (Arm.Sysreg.t -> bool) -> slots
+(** The slots whose register satisfies the predicate. *)
+
+val populate_files : t -> el2:Arm.Sysreg_file.t -> el1:Arm.Sysreg_file.t -> unit
+(** {!populate} from two register files: EL2-level slots from [el2],
+    the rest from [el1].  The page is looked up once; with a write
+    observer attached, or the page inside the code envelope, every slot
+    is stored through {!Arm.Memory.write64} in layout order. *)
+
+val drain_files :
+  t -> slots -> el2:Arm.Sysreg_file.t -> el1:Arm.Sysreg_file.t -> unit
+(** {!drain} of the given slots into two register files, as unchecked
+    {!Arm.Sysreg_file.hw_write}s. *)
+
 val vm_execution_state : Arm.Sysreg.t list
 (** The Table 3 "VM Execution Control" subset: page-resident values that
     are real EL1 machine state for the nested VM and must be pushed into

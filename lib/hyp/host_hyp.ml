@@ -19,48 +19,80 @@ module Insn = Arm.Insn
 module Exn = Arm.Exn
 module Hcr = Arm.Hcr
 module Memory = Arm.Memory
+module Sysreg_file = Arm.Sysreg_file
 module WS = World_switch
 
 let src = Logs.Src.create "neve.host" ~doc:"host hypervisor (L0)"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* [Log.debug] is handed a closure built before the level check; the
+   per-trap paths check first, so they allocate nothing with logging
+   off. *)
+let debug_on () =
+  match Logs.Src.level src with Some Logs.Debug -> true | _ -> false
+
 type scenario = Single_vm | Nested
 
-(* --- compiled l0 world-switch plans ---
+(* --- the compiled l0 exit path ---
 
-   The full non-VHE exit path copies ~50 registers through [Cpu.exec] on
-   EVERY trap: each copy routes an MRS/MSR, allocates an [Insn.t] and a
-   boxed slot address, and charges costs one instruction at a time.  At
-   EL2 with a [Direct] alias the router can only answer [Execute] or
-   [Execute_redirected] (a pure function of HCR_EL2.E2H and the feature
-   set), so the loops compile to flat arrays of pre-resolved
-   (source register, context slot) pairs, validated against the raw HCR
-   value and feature record they were compiled under.  Execution
-   replicates the interpreted loops' observable effects exactly: the same
-   register-file and memory writes in the same order, the same meter
-   charges, the same copy counter, the same final scratch-register value
-   and PC advance. *)
+   Every trap runs the full non-VHE exit path at EL2: save the
+   interrupted EL1/EL0 state to the stash, restore the host's EL1 world,
+   clear the trap controls; on the way out, the reverse.  Interpreted,
+   each of those ~80 register moves and 9 trap-control writes is a routed
+   MRS/MSR through [Cpu.exec] (an [Insn.t], a route, boxed values).  At
+   EL2 a [Direct] access routes only to [Execute] or
+   [Execute_redirected] — a function of the HCR value and the feature
+   set — so a plan resolves every register's MRS and MSR route once per
+   (raw HCR, features) pair into dense-index tables, and the copy loops
+   into (register, page offset) arrays over the context page.  Replay is
+   exact against the interpreted path: the same register-file and memory
+   writes in the same order, the same meter charges, the same copy
+   counter, the same PC and scratch-register end state.  Each single
+   write (trap controls, nested-exit loads) looks the plan up under the
+   HCR value it actually sees, so the first write of [activate_traps]
+   (HCR itself) switches plans for the writes after it. *)
 
-type l0_copy = { lc_src : Sysreg.t; lc_slot : int64 }
-
-type l0_rest = { lr_slot : int64; lr_dst : Sysreg.t; lr_norm : bool }
-(* [lr_norm]: the interpreted path writes through [Cpu.msr] (an
-   immediate MSR), which normalizes to "mov x9, #v; msr" whenever the
-   route is not plain [Execute] — one extra instruction and insn_base
-   cycle charge per copy. *)
-
-type l0_rseq = { lr_ops : l0_rest array; lr_norms : int }
+(* A compiled copy loop between the register file and one context area
+   (which sits in one page): copy [k] reads (save) or writes (restore)
+   register [ll_regs.(k)], route applied, at byte [ll_offs.(k)] of the
+   page.  [ll_norms] counts restore copies whose MSR the interpreted path
+   normalizes to "mov x9, #v; msr" (route not plain [Execute]): one extra
+   instruction and insn_base charge each. *)
+type l0_loop = {
+  ll_ctx : int64;
+  ll_regs : int array;
+  ll_offs : int array;
+  ll_norms : int;
+}
 
 type l0_plan = {
   lp_hcr : int64;             (* raw HCR_EL2 the routes were resolved under *)
   lp_feats : Arm.Features.t;  (* physical identity: swapped on ablation *)
-  lp_save_el1 : l0_copy array;   (* guest EL1 state -> guest_stash *)
-  lp_save_el0 : l0_copy array;   (* guest EL0 state -> guest_stash *)
-  lp_rest_host : l0_rseq;        (* l0_ctx -> host EL1 state *)
-  lp_rest_el1 : l0_rseq;         (* guest_stash -> guest EL1 state *)
-  lp_rest_el0 : l0_rseq;         (* guest_stash -> guest EL0 state *)
+  lp_view : Hcr.view;         (* [lp_hcr] decoded, for resolving routes *)
+  lp_rd : int array;
+      (* MRS of register i at EL2 reads register [lp_rd.(i)]; -1 when a
+         plain register-file read would be wrong (CurrentEL, CNTVCT) *)
+  lp_wr : int array;
+      (* MSR #imm to register i at EL2 writes register
+         [lp_wr.(i) lsr 1], normalized when bit 0 is set; -1 when the
+         route is not replayable.  Both tables fill lazily. *)
+  lp_save_el1 : l0_loop;   (* guest EL1 state -> guest_stash *)
+  lp_save_el0 : l0_loop;   (* guest EL0 state -> guest_stash *)
+  lp_rest_host : l0_loop;  (* l0_ctx -> host EL1 state *)
+  lp_rest_el1 : l0_loop;   (* guest_stash -> guest EL1 state *)
+  lp_rest_el0 : l0_loop;   (* guest_stash -> guest EL0 state *)
 }
+
+(* "No plan": physical equality marks a failed lookup without an option
+   allocation; its feature record is fresh, so it never validates. *)
+let no_loop = { ll_ctx = 0L; ll_regs = [||]; ll_offs = [||]; ll_norms = 0 }
+
+let no_plan =
+  { lp_hcr = 0L; lp_feats = Arm.Features.v Arm.Features.V8_0;
+    lp_view = Hcr.decode 0L; lp_rd = [||];
+    lp_wr = [||]; lp_save_el1 = no_loop; lp_save_el0 = no_loop;
+    lp_rest_host = no_loop; lp_rest_el1 = no_loop; lp_rest_el0 = no_loop }
 
 type t = {
   cpu : Cpu.t;
@@ -101,10 +133,16 @@ type t = {
      runs: L1's virtual VNCR with its BADDR translated through the
      stage-2 tables (the Section 6.2 workflow) *)
   mutable l2_vncr : int64 option;
-  (* compiled l0 world-switch plans, one per (HCR, features) seen; the
+  (* compiled l0 exit-path plans, one per (HCR, features) seen; the
      list stays tiny (the guest-entry HCR values plus the all-clear host
-     value) *)
+     value).  [l0_cur] is the one used last. *)
   mutable l0_plans : l0_plan list;
+  mutable l0_cur : l0_plan;
+  (* per-host values fixed by the configuration and the grant *)
+  nested_hcr : int64;  (* see [hcr_for] *)
+  exposed : int array;  (* dense indices of the granted registers *)
+  drain_slots : Core.Deferred_page.slots;
+      (* deferred-page slots the NEVE drain writes back (see [neve_drain]) *)
 }
 
 let table t = Cpu.table t.cpu
@@ -112,20 +150,19 @@ let table t = Cpu.table t.cpu
 (* HCR_EL2 value in hardware while guest code runs at EL1. *)
 let basic_hcr = Hcr.(List.fold_left set 0L [ vm; imo; fmo; tsc; twi ])
 
-let hcr_for t ~vel2 =
-  if vel2 then
-    if Config.is_paravirt t.config then basic_hcr
-    else Config.target_hcr t.config
-  else if t.l2_is_hyp then
-    (* the nested VM is itself a hypervisor: it runs with the same
-       nesting support the guest hypervisor gets ("the host hypervisor
-       emulates the same virtual execution environment as the underlying
-       machine including the ... nesting support", Section 6.2) *)
-    if Config.is_paravirt t.config then basic_hcr
-    else Config.target_hcr t.config
-  else basic_hcr
+(* HCR_EL2 value while a guest hypervisor runs at EL1. *)
+let nested_hcr config =
+  if Config.is_paravirt config then basic_hcr else Config.target_hcr config
 
-(* World-switch operations executed by the host at EL2 (never trap). *)
+(* [vel2]: the guest hypervisor runs.  Otherwise the nested VM does, and
+   when it is itself a hypervisor it runs with the same nesting support
+   the guest hypervisor gets ("the host hypervisor emulates the same
+   virtual execution environment as the underlying machine including the
+   ... nesting support", Section 6.2). *)
+let hcr_for t ~vel2 = if vel2 || t.l2_is_hyp then t.nested_hcr else basic_hcr
+
+(* World-switch operations executed by the host at EL2 (never trap): the
+   interpreted path, taken when no plan validates. *)
 let l0_ops t : WS.ops =
   {
     WS.rd = (fun a -> Cpu.mrs t.cpu a);
@@ -140,6 +177,199 @@ let l0_ops t : WS.ops =
         Cpu.exec t.cpu (Insn.Str (Cpu.scratch_reg, Insn.Abs addr)));
   }
 
+(* --- compiling and finding plans --- *)
+
+(* Registers whose hardware read is not a plain register-file load; a
+   replay charging costs in aggregate would read them at the wrong
+   mid-loop cycle count.  None appears in the world-switch lists, but
+   the compiler refuses rather than assumes. *)
+let hw_special (r : Sysreg.t) =
+  match r with Sysreg.CurrentEL | Sysreg.CNTVCT_EL0 -> true | _ -> false
+
+let hcr_i = Sysreg.index Sysreg.HCR_EL2
+
+(* Route tables start unresolved; each entry is resolved on first use,
+   so a plan costs only the routes its host actually replays. *)
+let unresolved = -2
+
+let route_el2 t view insn =
+  let cpu = t.cpu in
+  Arm.Trap_rules.route ~mask:cpu.Cpu.nv2_mask cpu.Cpu.features ~hcr:view
+    ~vncr:(Cpu.vncr_value cpu) ~el:Arm.Pstate.EL2 insn
+
+(* Entry [i] of an MRS table: the register an MRS of register i reads. *)
+let rd_route t view (tbl : int array) i =
+  let code = Array.unsafe_get tbl i in
+  if code <> unresolved then code
+  else begin
+    let r = Sysreg.of_index i in
+    let readable r = if hw_special r then -1 else Sysreg.index r in
+    let code =
+      match route_el2 t view (Insn.Mrs (Cpu.scratch_reg, Sysreg.direct r)) with
+      | Arm.Trap_rules.Execute -> readable r
+      | Arm.Trap_rules.Execute_redirected a -> readable a.Sysreg.reg
+      | _ -> -1
+    in
+    tbl.(i) <- code;
+    code
+  end
+
+(* Entry [i] of an MSR table: the register written, shifted left once,
+   with bit 0 set when the immediate is normalized. *)
+let wr_route t view (tbl : int array) i =
+  let code = Array.unsafe_get tbl i in
+  if code <> unresolved then code
+  else begin
+    let code =
+      match
+        route_el2 t view (Insn.Msr (Sysreg.direct (Sysreg.of_index i), Insn.Imm 0L))
+      with
+      | Arm.Trap_rules.Execute -> i lsl 1
+      | Arm.Trap_rules.Execute_redirected a ->
+        (Sysreg.index a.Sysreg.reg lsl 1) lor 1
+      | _ -> -1
+    in
+    tbl.(i) <- code;
+    code
+  end
+
+(* A copy loop over [regs] between the register file and the context
+   area at [ctx].  [Exit] when a route is not replayable or the area does
+   not sit in one page. *)
+let compile_loop ~ctx ~restore route (regs : Sysreg.t array) =
+  let base = Memory.page_offset ctx in
+  if Int64.logand ctx 7L <> 0L || base + Reglists.ctx_area_size > 4096 then
+    raise Exit;
+  let codes = Array.map (fun r -> route (Sysreg.index r)) regs in
+  if Array.exists (fun c -> c < 0) codes then raise Exit;
+  {
+    ll_ctx = ctx;
+    ll_regs = Array.map (fun c -> if restore then c lsr 1 else c) codes;
+    ll_offs = Array.map (fun r -> base + Reglists.ctx_slot r) regs;
+    ll_norms =
+      (if restore then Array.fold_left (fun n c -> n + (c land 1)) 0 codes
+       else 0);
+  }
+
+let compile_plan t ~hcr_raw =
+  let view = Hcr.decode hcr_raw in
+  let rd = Array.make Sysreg.count unresolved in
+  let wr = Array.make Sysreg.count unresolved in
+  let save ctx regs = compile_loop ~ctx ~restore:false (rd_route t view rd) regs in
+  let rest ctx regs = compile_loop ~ctx ~restore:true (wr_route t view wr) regs in
+  {
+    lp_hcr = hcr_raw;
+    lp_feats = t.cpu.Cpu.features;
+    lp_view = view;
+    lp_rd = rd;
+    lp_wr = wr;
+    lp_save_el1 = save t.guest_stash Reglists.el1_state_arr;
+    lp_save_el0 = save t.guest_stash Reglists.el0_state_arr;
+    lp_rest_host = rest t.l0_ctx Reglists.el1_state_arr;
+    lp_rest_el1 = rest t.guest_stash Reglists.el1_state_arr;
+    lp_rest_el0 = rest t.guest_stash Reglists.el0_state_arr;
+  }
+
+let rec find_plan raw feats = function
+  | [] -> no_plan
+  | p :: tl ->
+    if Int64.equal p.lp_hcr raw && p.lp_feats == feats then p
+    else find_plan raw feats tl
+
+(* The plan valid for the CPU's routing state right now, compiling on
+   first sight of a (HCR, features) pair.  [no_plan] (outside EL2, or a
+   route the plan cannot replay) means: interpret. *)
+let plan_for t =
+  let cpu = t.cpu in
+  if cpu.Cpu.pstate.Arm.Pstate.el <> Arm.Pstate.EL2 then no_plan
+  else begin
+    let feats = cpu.Cpu.features in
+    let cur = t.l0_cur in
+    if
+      cur.lp_feats == feats
+      && Sysreg_file.index_equals cpu.Cpu.sysregs hcr_i cur.lp_hcr
+    then cur
+    else begin
+      let raw = Sysreg_file.get_index cpu.Cpu.sysregs hcr_i in
+      let p = find_plan raw feats t.l0_plans in
+      let p =
+        if p != no_plan then p
+        else
+          match compile_plan t ~hcr_raw:raw with
+          | p ->
+            t.l0_plans <- p :: t.l0_plans;
+            p
+          | exception Exit -> no_plan
+      in
+      if p != no_plan then t.l0_cur <- p;
+      p
+    end
+  end
+
+(* --- replaying single accesses ---
+
+   [put] and [pull] replay one [Cpu.msr]/[Cpu.mrs] of a [Direct] access
+   at EL2 under the plan for the HCR value in force, except for the PC
+   advance: they return the bytes the PC still owes (4), which callers
+   sum and pay once per sequence ([advance]).  Without a plan they run
+   the routed instruction itself (which advances the PC) and owe 0. *)
+
+let advance t bytes =
+  if bytes > 0 then t.cpu.Cpu.pc <- Int64.add t.cpu.Cpu.pc (Int64.of_int bytes)
+
+(* "msr <register i>, #v" *)
+let put t i v =
+  let p = plan_for t in
+  let code = if p == no_plan then -1 else wr_route t p.lp_view p.lp_wr i in
+  if code < 0 then begin
+    Cpu.msr t.cpu (Sysreg.direct (Sysreg.of_index i)) v;
+    0
+  end
+  else begin
+    let cpu = t.cpu in
+    let m = cpu.Cpu.meter in
+    let c = Cpu.table cpu in
+    if code land 1 = 1 then begin
+      Cpu.set_reg cpu Cpu.scratch_reg v;
+      m.Cost.insns <- m.Cost.insns + 1;
+      m.Cost.cycles <- m.Cost.cycles + c.Cost.insn_base
+    end;
+    Sysreg_file.write_index cpu.Cpu.sysregs (code lsr 1) v;
+    m.Cost.insns <- m.Cost.insns + 1;
+    m.Cost.cycles <- m.Cost.cycles + c.Cost.sysreg_write;
+    4
+  end
+
+(* "mrs x9, <register i>", the value then stored into the same register
+   of the virtual EL2 file *)
+let pull t i =
+  let p = plan_for t in
+  let src = if p == no_plan then -1 else rd_route t p.lp_view p.lp_rd i in
+  if src < 0 then begin
+    let r = Sysreg.of_index i in
+    Vcpu.write_vel2 t.vcpu r (Cpu.mrs t.cpu (Sysreg.direct r));
+    0
+  end
+  else begin
+    let cpu = t.cpu in
+    let m = cpu.Cpu.meter in
+    let v = Sysreg_file.get_index cpu.Cpu.sysregs src in
+    Cpu.set_reg cpu Cpu.scratch_reg v;
+    m.Cost.insns <- m.Cost.insns + 1;
+    m.Cost.cycles <- m.Cost.cycles + (Cpu.table cpu).Cost.sysreg_read;
+    Sysreg_file.hw_write_index t.vcpu.Vcpu.vel2 i v;
+    4
+  end
+
+(* [put] of every register in [regs] from the same register of [src] *)
+let put_from t (src : Sysreg_file.t) (regs : int array) =
+  let owed = ref 0 in
+  for k = 0 to Array.length regs - 1 do
+    let i = Array.unsafe_get regs k in
+    owed := !owed + put t i (Sysreg_file.get_index src i)
+  done;
+  !owed
+
 (* --- virtual EL2 register storage ---
 
    Where the guest hypervisor's virtual EL2 register values live depends on
@@ -151,14 +381,33 @@ let l0_ops t : WS.ops =
      while NEVE is enabled;
    - everything else lives in the software virtual-EL2 file. *)
 
-let twin_backed t (r : Sysreg.t) =
+(* The register pairs forming the virtual-EL2 execution mapping: while the
+   guest hypervisor runs at EL1, hardware EL1 register [twin] holds the
+   value of its virtual [el2_reg]. *)
+let exec_mapping = Core.Classify.redirected_pairs
+
+(* The same pairs by dense index of the EL2 register: the twin, as a
+   preallocated option (first pair wins, as [List.assoc_opt]).
+   domain-safety: allowlisted global — built at module load, read-only
+   afterwards. *)
+let exec_twin : Sysreg.t option array =
+  Array.init Sysreg.count (fun i ->
+      List.assoc_opt (Sysreg.of_index i) exec_mapping)
+
+(* The EL1 twin backing virtual EL2 register [r] under [config] (the
+   execution mapping's pairs are exactly the redirect classes). *)
+let twin_of (config : Config.t) (r : Sysreg.t) =
   match Sysreg.neve_class r with
-  | Sysreg.NV_redirect twin | Sysreg.NV_redirect_vhe twin ->
-    if t.config.Config.guest_vhe || Config.is_neve t.config then Some twin
+  | Sysreg.NV_redirect _ | Sysreg.NV_redirect_vhe _ ->
+    if config.Config.guest_vhe || Config.is_neve config then
+      Array.unsafe_get exec_twin (Sysreg.index r)
     else None
-  | Sysreg.NV_redirect_or_trap twin ->
-    if t.config.Config.guest_vhe then Some twin else None
+  | Sysreg.NV_redirect_or_trap _ ->
+    if config.Config.guest_vhe then Array.unsafe_get exec_twin (Sysreg.index r)
+    else None
   | _ -> None
+
+let twin_backed t r = twin_of t.config r
 
 let page_backed t r =
   Config.is_neve t.config && t.vcpu.Vcpu.in_vel2
@@ -177,8 +426,7 @@ let stash_twin t r =
   match twin_backed t r with
   | Some _ as s -> s
   | None ->
-    if t.vcpu.Vcpu.in_vel2 then
-      List.assoc_opt r Core.Classify.redirected_pairs
+    if t.vcpu.Vcpu.in_vel2 then Array.unsafe_get exec_twin (Sysreg.index r)
     else None
 
 (* Read a virtual-EL2 register value from wherever it currently lives.
@@ -201,7 +449,7 @@ let vel2_read ?(from_stash = false) t r =
 let vel2_write ?(to_hw = true) t r v =
   Vcpu.write_vel2 t.vcpu r v;
   (match twin_backed t r with
-   | Some twin when to_hw -> Cpu.msr t.cpu (Sysreg.direct twin) v
+   | Some twin when to_hw -> advance t (put t (Sysreg.index twin) v)
    | _ -> ());
   if page_backed t r then begin
     Cost.charge t.cpu.Cpu.meter (table t).Cost.mem_store;
@@ -212,154 +460,115 @@ let vel2_write ?(to_hw = true) t r v =
 
 let stash_slot t r = Int64.add t.guest_stash (Int64.of_int (Reglists.ctx_slot r))
 
-(* Resolve one save copy (mrs via Direct, then a store to the context
-   slot) under the current routing state.  [Exit] means the route is
-   something the compiled loop cannot replay (impossible at EL2/Direct,
-   but a fallback beats a wrong simulation). *)
-let compile_route t insn =
-  Arm.Trap_rules.route ~mask:t.cpu.Cpu.nv2_mask t.cpu.Cpu.features
-    ~hcr:(Cpu.hcr_view t.cpu) ~vncr:(Cpu.vncr_value t.cpu)
-    ~el:Arm.Pstate.EL2 insn
-
-(* Registers whose hardware read is not a plain register-file load; a
-   compiled loop charging costs in aggregate would read them at the
-   wrong mid-loop cycle count.  None appears in the world-switch lists,
-   but the compiler refuses rather than assumes. *)
-let hw_special (r : Sysreg.t) =
-  match r with Sysreg.CurrentEL | Sysreg.CNTVCT_EL0 -> true | _ -> false
-
-let compile_copy t ~ctx r =
-  let src =
-    match compile_route t (Insn.Mrs (Cpu.scratch_reg, Sysreg.direct r)) with
-    | Arm.Trap_rules.Execute -> r
-    | Arm.Trap_rules.Execute_redirected a -> a.Sysreg.reg
-    | _ -> raise Exit
-  in
-  if hw_special src then raise Exit;
-  { lc_src = src; lc_slot = WS.slot ctx r }
-
-let compile_rest t ~ctx r =
-  match compile_route t (Insn.Msr (Sysreg.direct r, Insn.Imm 0L)) with
-  | Arm.Trap_rules.Execute ->
-    { lr_slot = WS.slot ctx r; lr_dst = r; lr_norm = false }
-  | Arm.Trap_rules.Execute_redirected a ->
-    { lr_slot = WS.slot ctx r; lr_dst = a.Sysreg.reg; lr_norm = true }
-  | _ -> raise Exit
-
-let compile_rseq t ~ctx regs =
-  let ops = Array.map (compile_rest t ~ctx) regs in
-  let norms =
-    Array.fold_left (fun n o -> if o.lr_norm then n + 1 else n) 0 ops
-  in
-  { lr_ops = ops; lr_norms = norms }
-
-let compile_plan t ~hcr_raw =
-  {
-    lp_hcr = hcr_raw;
-    lp_feats = t.cpu.Cpu.features;
-    lp_save_el1 =
-      Array.map (compile_copy t ~ctx:t.guest_stash) Reglists.el1_state_arr;
-    lp_save_el0 =
-      Array.map (compile_copy t ~ctx:t.guest_stash) Reglists.el0_state_arr;
-    lp_rest_host = compile_rseq t ~ctx:t.l0_ctx Reglists.el1_state_arr;
-    lp_rest_el1 = compile_rseq t ~ctx:t.guest_stash Reglists.el1_state_arr;
-    lp_rest_el0 = compile_rseq t ~ctx:t.guest_stash Reglists.el0_state_arr;
-  }
-
-(* The plan valid for the CPU's routing state right now, compiling on
-   first sight of a (HCR, features) pair.  [None] falls back to the
-   interpreted loops. *)
-let plan_for t =
-  if t.cpu.Cpu.pstate.Arm.Pstate.el <> Arm.Pstate.EL2 then None
-  else begin
-    let raw = Cpu.peek_sysreg t.cpu Sysreg.HCR_EL2 in
-    let feats = t.cpu.Cpu.features in
-    let rec find = function
-      | p :: _ when p.lp_hcr = raw && p.lp_feats == feats -> Some p
-      | _ :: tl -> find tl
-      | [] -> None
-    in
-    match find t.l0_plans with
-    | Some _ as p -> p
-    | None ->
-      (match compile_plan t ~hcr_raw:raw with
-       | p ->
-         t.l0_plans <- p :: t.l0_plans;
-         Some p
-       | exception Exit -> None)
-  end
-
 (* Replay a compiled save loop.  Per copy the interpreted path executes
    "mrs x9, <src>; str x9, [slot]": two instructions, a sysreg_read and
    a mem_store cycle charge, one memory access, PC advanced twice, x9
    left holding the copied value.  Nothing mid-loop can observe the
    meter or PC (no tracing, no special registers), so the charges are
-   applied in aggregate. *)
-let run_save t (cs : l0_copy array) =
+   applied in aggregate; the PC advance is returned, for the caller to
+   pay with the rest of the exit path's.  The words go straight into the
+   page's bytes unless a write observer is attached or the page overlaps
+   the code envelope; then each goes through [Memory.write64], in order. *)
+let run_save t (l : l0_loop) =
   let cpu = t.cpu in
   let m = cpu.Cpu.meter in
   let c = Cpu.table cpu in
   let mem = cpu.Cpu.mem in
-  let n = Array.length cs in
+  let file = cpu.Cpu.sysregs in
+  let n = Array.length l.ll_regs in
   WS.add_copies n;
-  let last = ref 0L in
-  for i = 0 to n - 1 do
-    let fc = Array.unsafe_get cs i in
-    let v = Cpu.read_sysreg_hw cpu fc.lc_src in
-    Memory.write64 mem fc.lc_slot v;
-    last := v
-  done;
-  if n > 0 then Cpu.set_reg cpu Cpu.scratch_reg !last;
+  if n > 0 then begin
+    if Memory.plain_page mem l.ll_ctx then begin
+      Sysreg_file.to_page file ~regs:l.ll_regs ~offs:l.ll_offs
+        (Memory.page_for_store mem l.ll_ctx);
+      Cpu.set_reg cpu Cpu.scratch_reg
+        (Sysreg_file.get_index file l.ll_regs.(n - 1))
+    end
+    else begin
+      let page = Int64.logand l.ll_ctx (Int64.lognot 0xfffL) in
+      let last = ref 0L in
+      for k = 0 to n - 1 do
+        let v = Sysreg_file.get_index file l.ll_regs.(k) in
+        Memory.write64 mem (Int64.add page (Int64.of_int l.ll_offs.(k))) v;
+        last := v
+      done;
+      Cpu.set_reg cpu Cpu.scratch_reg !last
+    end
+  end;
   m.Cost.insns <- m.Cost.insns + (2 * n);
   m.Cost.cycles <- m.Cost.cycles + (n * (c.Cost.sysreg_read + c.Cost.mem_store));
   m.Cost.mem_accesses <- m.Cost.mem_accesses + n;
-  cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int (8 * n))
+  8 * n
 
 (* Replay a compiled restore loop: "ldr x9, [slot]; msr <dst>, x9" per
    copy, plus the normalization mov (one instruction, one insn_base
    cycle) for each copy whose route was redirected. *)
-let run_rest t (rq : l0_rseq) =
+let run_rest t (l : l0_loop) =
   let cpu = t.cpu in
   let m = cpu.Cpu.meter in
   let c = Cpu.table cpu in
-  let mem = cpu.Cpu.mem in
-  let rs = rq.lr_ops in
-  let n = Array.length rs in
+  let n = Array.length l.ll_regs in
   WS.add_copies n;
-  let last = ref 0L in
-  for i = 0 to n - 1 do
-    let fr = Array.unsafe_get rs i in
-    let v = Memory.read64 mem fr.lr_slot in
-    Cpu.write_sysreg_hw cpu fr.lr_dst v;
-    last := v
-  done;
-  if n > 0 then Cpu.set_reg cpu Cpu.scratch_reg !last;
-  let k = rq.lr_norms in
+  if n > 0 then begin
+    let page = Memory.page_of cpu.Cpu.mem l.ll_ctx in
+    Sysreg_file.of_page cpu.Cpu.sysregs ~checked:true ~regs:l.ll_regs
+      ~offs:l.ll_offs page;
+    Cpu.set_reg cpu Cpu.scratch_reg
+      (Memory.read64 cpu.Cpu.mem
+         (Int64.add
+            (Int64.logand l.ll_ctx (Int64.lognot 0xfffL))
+            (Int64.of_int l.ll_offs.(n - 1))))
+  end;
+  let k = l.ll_norms in
   m.Cost.insns <- m.Cost.insns + (2 * n) + k;
   m.Cost.cycles <-
     m.Cost.cycles + (n * (c.Cost.mem_load + c.Cost.sysreg_write))
     + (k * c.Cost.insn_base);
   m.Cost.mem_accesses <- m.Cost.mem_accesses + n;
-  cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int ((8 * n) + (4 * k)))
+  (8 * n) + (4 * k)
+
+let cptr_i = Sysreg.index Sysreg.CPTR_EL2
+let mdcr_i = Sysreg.index Sysreg.MDCR_EL2
+let hstr_i = Sysreg.index Sysreg.HSTR_EL2
+let vttbr_i = Sysreg.index Sysreg.VTTBR_EL2
+
+(* [WS.deactivate_traps ~vhe:false], [WS.activate_traps ~vhe:false] and
+   [WS.write_stage2], write for write; each returns the PC bytes owed. *)
+let deactivate_traps t =
+  let n = put t hcr_i 0L in
+  let n = n + put t cptr_i 0L in
+  let n = n + put t mdcr_i 0L in
+  n + put t hstr_i 0L
+
+let activate_traps t ~hcr =
+  let n = put t hcr_i hcr in
+  let n = n + put t cptr_i WS.cptr_active in
+  let n = n + put t mdcr_i WS.mdcr_active in
+  n + put t hstr_i 0L
+
+let write_stage2 t ~vttbr = put t vttbr_i vttbr
 
 let l0_enter t =
   let copies0 = WS.reg_copies () in
   Cost.charge t.cpu.Cpu.meter (table t).Cost.l0_exit_dispatch;
-  (match plan_for t with
-   | Some p ->
-     (* save whoever was running at EL1, restore the host's EL1 world *)
-     run_save t p.lp_save_el1;
-     run_save t p.lp_save_el0;
-     run_rest t p.lp_rest_host
-   | None ->
-     let o = l0_ops t in
-     WS.save_array o ~ctx:t.guest_stash ~via:Sysreg.direct
-       Reglists.el1_state_arr;
-     WS.save_array o ~ctx:t.guest_stash ~via:Sysreg.direct
-       Reglists.el0_state_arr;
-     WS.restore_array o ~ctx:t.l0_ctx ~via:Sysreg.direct
-       Reglists.el1_state_arr);
-  WS.deactivate_traps (l0_ops t) ~vhe:false;
+  let p = plan_for t in
+  if p != no_plan then begin
+    (* save whoever was running at EL1, restore the host's EL1 world *)
+    let n = run_save t p.lp_save_el1 in
+    let n = n + run_save t p.lp_save_el0 in
+    let n = n + run_rest t p.lp_rest_host in
+    advance t (n + deactivate_traps t)
+  end
+  else begin
+    let o = l0_ops t in
+    WS.save_array o ~ctx:t.guest_stash ~via:Sysreg.direct
+      Reglists.el1_state_arr;
+    WS.save_array o ~ctx:t.guest_stash ~via:Sysreg.direct
+      Reglists.el0_state_arr;
+    WS.restore_array o ~ctx:t.l0_ctx ~via:Sysreg.direct
+      Reglists.el1_state_arr;
+    WS.deactivate_traps o ~vhe:false
+  end;
   if !Trace.on then
     Trace.emit ~cycles:t.cpu.Cpu.meter.Cost.cycles ~tid:t.cpu.Cpu.meter.Cost.tid
       ~a0:(Int64.of_int (WS.reg_copies () - copies0))
@@ -369,19 +578,22 @@ let l0_enter t =
 let l0_exit t =
   let copies0 = WS.reg_copies () in
   (* put the interrupted guest context back *)
-  (match plan_for t with
-   | Some p ->
-     run_rest t p.lp_rest_el1;
-     run_rest t p.lp_rest_el0
-   | None ->
-     let o = l0_ops t in
-     WS.restore_array o ~ctx:t.guest_stash ~via:Sysreg.direct
-       Reglists.el1_state_arr;
-     WS.restore_array o ~ctx:t.guest_stash ~via:Sysreg.direct
-       Reglists.el0_state_arr);
-  let o = l0_ops t in
-  WS.activate_traps o ~vhe:false ~hcr:(hcr_for t ~vel2:t.vcpu.Vcpu.in_vel2);
-  WS.write_stage2 o ~vttbr:t.shadow_vttbr;
+  let p = plan_for t in
+  if p != no_plan then begin
+    let n = run_rest t p.lp_rest_el1 in
+    let n = n + run_rest t p.lp_rest_el0 in
+    let n = n + activate_traps t ~hcr:(hcr_for t ~vel2:t.vcpu.Vcpu.in_vel2) in
+    advance t (n + write_stage2 t ~vttbr:t.shadow_vttbr)
+  end
+  else begin
+    let o = l0_ops t in
+    WS.restore_array o ~ctx:t.guest_stash ~via:Sysreg.direct
+      Reglists.el1_state_arr;
+    WS.restore_array o ~ctx:t.guest_stash ~via:Sysreg.direct
+      Reglists.el0_state_arr;
+    WS.activate_traps o ~vhe:false ~hcr:(hcr_for t ~vel2:t.vcpu.Vcpu.in_vel2);
+    WS.write_stage2 o ~vttbr:t.shadow_vttbr
+  end;
   if !Trace.on then
     Trace.emit ~cycles:t.cpu.Cpu.meter.Cost.cycles ~tid:t.cpu.Cpu.meter.Cost.tid
       ~a0:(Int64.of_int (WS.reg_copies () - copies0))
@@ -412,9 +624,10 @@ let inject_undef t =
   Memory.write64 mem (stash_slot t Sysreg.SPSR_EL1)
     (Cpu.peek_sysreg t.cpu Sysreg.SPSR_EL2);
   let vbar = stash_read t Sysreg.VBAR_EL1 in
-  Log.debug (fun m ->
-      m "vcpu%d: injecting UNDEF, faulting pc=0x%Lx" t.vcpu.Vcpu.id
-        faulting_pc);
+  if debug_on () then
+    Log.debug (fun m ->
+        m "vcpu%d: injecting UNDEF, faulting pc=0x%Lx" t.vcpu.Vcpu.id
+          faulting_pc);
   l0_exit t;
   Cpu.poke_sysreg t.cpu Sysreg.ELR_EL2 vbar;
   Cpu.poke_sysreg t.cpu Sysreg.SPSR_EL2
@@ -423,10 +636,24 @@ let inject_undef t =
 
 (* --- virtual EL2 <-> hardware transitions --- *)
 
-(* The register pairs forming the virtual-EL2 execution mapping: while the
-   guest hypervisor runs at EL1, hardware EL1 register [twin] holds the
-   value of its virtual [el2_reg]. *)
-let exec_mapping = Core.Classify.redirected_pairs
+(* Dense-index forms of the register sets moved on every nested exit.
+   domain-safety: allowlisted global — built at module load, read-only
+   afterwards. *)
+let state_regs =
+  Array.append Reglists.el1_state_indices Reglists.el0_state_indices
+
+let exec_el2_regs =
+  Array.of_list (List.map (fun (r, _) -> Sysreg.index r) exec_mapping)
+
+let exec_twin_regs =
+  Array.of_list (List.map (fun (_, tw) -> Sysreg.index tw) exec_mapping)
+
+let lr_regs = Array.init Sysreg.lr_count (fun i -> Sysreg.index (Sysreg.ICH_LR_EL2 i))
+
+(* Their slots' byte offsets in the (page-aligned) stash. *)
+let ctx_slots regs = Array.map (fun i -> Reglists.ctx_slot (Sysreg.of_index i)) regs
+let state_slots = ctx_slots state_regs
+let exec_twin_slots = ctx_slots exec_twin_regs
 
 let used_lrs_of_vel2 t =
   let n = ref 0 in
@@ -451,8 +678,7 @@ let used_lrs_of_vel2 t =
    hypervisor's EL2 accesses keep their trap/forward/defer semantics —
    its grants would be L1's to give, not L0's. *)
 
-let exposed_regs t =
-  let p = t.expose in
+let exposed_regs (p : Expose.Policy.t) =
   let timer =
     if Expose.Policy.mem p Expose.Policy.Timer then
       [ Sysreg.CNTHP_CTL_EL2; Sysreg.CNTHP_CVAL_EL2; Sysreg.CNTHV_CTL_EL2;
@@ -471,18 +697,15 @@ let exposed_regs t =
   timer @ gic
 
 (* Make hardware mirror the virtual-EL2 file for every exposed register
-   and arm the routing grant.  The copies go through [Cpu.msr] when
-   [charged] — the per-switch cost OoH pays to erase the per-access
-   traps; the register-poke entry paths ([kill_l2], initial boot) pass
+   and arm the routing grant.  The copies are MSRs when [charged] — the
+   per-switch cost OoH pays to erase the per-access traps; the
+   register-poke entry paths ([kill_l2], initial boot) pass
    [charged:false] like their surrounding pokes. *)
 let expose_install ?(charged = true) t =
   if not (Expose.Policy.is_none t.expose) then begin
-    List.iter
-      (fun r ->
-        let v = Vcpu.read_vel2 t.vcpu r in
-        if charged then Cpu.msr t.cpu (Sysreg.direct r) v
-        else Cpu.poke_sysreg t.cpu r v)
-      (exposed_regs t);
+    let vel2 = t.vcpu.Vcpu.vel2 in
+    if charged then advance t (put_from t vel2 t.exposed)
+    else Sysreg_file.copy_indices ~src:vel2 ~dst:t.cpu.Cpu.sysregs t.exposed;
     t.cpu.Cpu.expose <- t.expose
   end
 
@@ -493,9 +716,11 @@ let expose_install ?(charged = true) t =
    [neve_drain]. *)
 let expose_fold t =
   if not (Expose.Policy.is_none t.expose) then begin
-    List.iter
-      (fun r -> Vcpu.write_vel2 t.vcpu r (Cpu.mrs t.cpu (Sysreg.direct r)))
-      (exposed_regs t);
+    let owed = ref 0 in
+    for k = 0 to Array.length t.exposed - 1 do
+      owed := !owed + pull t t.exposed.(k)
+    done;
+    advance t !owed;
     t.cpu.Cpu.expose <- Expose.Policy.none
   end
 
@@ -503,32 +728,28 @@ let expose_fold t =
    hypervisor: EL2 slots from the virtual EL2 file, EL1/EL0 slots from the
    nested VM's state (Section 6.1 workflow). *)
 let neve_populate t =
-  let read_virtual r =
-    if Sysreg.min_el r = Arm.Pstate.EL2 then Vcpu.read_vel2 t.vcpu r
-    else Vcpu.read_vel1 t.vcpu r
-  in
-  Core.Deferred_page.populate t.page ~read_virtual;
+  Core.Deferred_page.populate_files t.page ~el2:t.vcpu.Vcpu.vel2
+    ~el1:t.vcpu.Vcpu.vel1;
   Cost.charge t.cpu.Cpu.meter
     (Core.Deferred_page.layout_len * (table t).Cost.mem_store)
 
+(* Drain it back on the trapped eret.  [drain_slots] ([drain_keeps])
+   leaves two kinds of slot out:
+   - a register redirected to a hardware EL1 twin under this
+     configuration is never written through the page while the guest
+     hypervisor runs — its page slot is a stale shadow from
+     [neve_populate], and draining it would clobber the authoritative
+     value the execution-mapping fold took from the twin;
+   - same staleness for an exposed register: its page slot was
+     populated at entry and never written (the grant routed every
+     access to hardware); draining it would clobber the value
+     [expose_fold] just took from the hardware register. *)
+let drain_keeps config expose r =
+  twin_of config r = None && Arm.Trap_rules.exposed_feature expose r = None
+
 let neve_drain t =
-  let write_virtual r v =
-    (* A register redirected to a hardware EL1 twin under this
-       configuration is never written through the page while the guest
-       hypervisor runs — its page slot is a stale shadow from
-       [neve_populate], and draining it would clobber the authoritative
-       value the execution-mapping fold took from the twin. *)
-    if twin_backed t r <> None then ()
-    else if Arm.Trap_rules.exposed_feature t.expose r <> None then
-      (* Same staleness as the twins: an exposed register's page slot was
-         populated at entry and never written (the grant routed every
-         access to hardware); draining it would clobber the value
-         [expose_fold] just took from the hardware register. *)
-      ()
-    else if Sysreg.min_el r = Arm.Pstate.EL2 then Vcpu.write_vel2 t.vcpu r v
-    else Vcpu.write_vel1 t.vcpu r v
-  in
-  Core.Deferred_page.drain t.page ~write_virtual;
+  Core.Deferred_page.drain_files t.page t.drain_slots ~el2:t.vcpu.Vcpu.vel2
+    ~el1:t.vcpu.Vcpu.vel1;
   Cost.charge t.cpu.Cpu.meter
     (Core.Deferred_page.layout_len * (table t).Cost.mem_load)
 
@@ -553,21 +774,21 @@ let set_vncr t ~enable =
    EL1 state was already parked in the stash by l0_enter. *)
 let inject_vel2 t (reason : Vcpu.nested_exit) =
   let c = table t in
-  let o = l0_ops t in
-  Log.debug (fun m ->
-      m "vcpu%d: inject %s into virtual EL2" t.vcpu.Vcpu.id
-        (Vcpu.exit_name reason));
+  if debug_on () then
+    Log.debug (fun m ->
+        m "vcpu%d: inject %s into virtual EL2" t.vcpu.Vcpu.id
+          (Vcpu.exit_name reason));
   Cost.charge t.cpu.Cpu.meter c.Cost.l0_inject_vel2;
   (* the stashed EL1 state is the nested VM's (or vEL1 kernel's) state *)
-  List.iter
-    (fun r -> Vcpu.write_vel1 t.vcpu r (stash_read t r))
-    (Reglists.el1_state @ Reglists.el0_state);
+  Sysreg_file.of_page t.vcpu.Vcpu.vel1 ~checked:false ~regs:state_regs
+    ~offs:state_slots (Memory.page_of t.cpu.Cpu.mem t.guest_stash);
   (* save the hardware list registers into the virtual EL2 vgic *)
   let used = max (used_lrs_of_vel2 t) t.vcpu.Vcpu.used_lrs in
+  let owed = ref 0 in
   for i = 0 to used - 1 do
-    Vcpu.write_vel2 t.vcpu (Sysreg.ICH_LR_EL2 i)
-      (Cpu.mrs t.cpu (Sysreg.direct (Sysreg.ICH_LR_EL2 i)))
+    owed := !owed + pull t lr_regs.(i)
   done;
+  advance t !owed;
   t.vcpu.Vcpu.in_vel2 <- true;
   (* virtual exception bookkeeping: syndrome, return address, SPSR *)
   let esr =
@@ -598,10 +819,14 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
      vel2_write t Sysreg.HPFAR_EL2 (Int64.shift_right_logical addr 8)
    | _ -> ());
   (* load the virtual-EL2 execution mapping into hardware EL1 *)
-  List.iter
-    (fun (el2r, twin) ->
-      Cpu.msr t.cpu (Sysreg.direct twin) (Vcpu.read_vel2 t.vcpu el2r))
-    exec_mapping;
+  let vel2 = t.vcpu.Vcpu.vel2 in
+  let owed = ref 0 in
+  for k = 0 to Array.length exec_twin_regs - 1 do
+    owed :=
+      !owed
+      + put t exec_twin_regs.(k) (Sysreg_file.get_index vel2 exec_el2_regs.(k))
+  done;
+  advance t !owed;
   if neve_on t then begin
     neve_populate t;
     set_vncr t ~enable:true
@@ -611,7 +836,7 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
   Cpu.poke_sysreg t.cpu Sysreg.ELR_EL2 Guest_hyp.vector_base;
   Cpu.poke_sysreg t.cpu Sysreg.SPSR_EL2
     (Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1));
-  WS.activate_traps o ~vhe:false ~hcr:(hcr_for t ~vel2:true);
+  advance t (activate_traps t ~hcr:(hcr_for t ~vel2:true));
   Cpu.do_eret t.cpu;
   (* run the guest hypervisor's handler, unless this is the guest
      hypervisor's own kernel->lowvisor transition *)
@@ -623,22 +848,26 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
     | None -> ()
   end
 
+let ich_hcr_i = Sysreg.index Sysreg.ICH_HCR_EL2
+let ich_vmcr_i = Sysreg.index Sysreg.ICH_VMCR_EL2
+let cntvoff_i = Sysreg.index Sysreg.CNTVOFF_EL2
+
 (* The guest hypervisor executed eret: switch to the virtual EL1 context
    (its host kernel or its nested VM — the host does not care which). *)
 let emulate_eret t =
   let c = table t in
-  let o = l0_ops t in
-  Log.debug (fun m -> m "vcpu%d: trapped eret, entering virtual EL1/0"
-                t.vcpu.Vcpu.id);
+  if debug_on () then
+    Log.debug (fun m ->
+        m "vcpu%d: trapped eret, entering virtual EL1/0" t.vcpu.Vcpu.id);
   Cost.charge t.cpu.Cpu.meter c.Cost.l0_eret_emulate;
   (* where does the guest hypervisor want to go? *)
   let target_elr = vel2_read ~from_stash:true t Sysreg.ELR_EL2 in
   let target_spsr = vel2_read ~from_stash:true t Sysreg.SPSR_EL2 in
   (* the stashed hardware EL1 state is the virtual-EL2 execution mapping:
      fold it back into the virtual EL2 file *)
-  List.iter
-    (fun (el2r, twin) -> Vcpu.write_vel2 t.vcpu el2r (stash_read t twin))
-    exec_mapping;
+  let vel2 = t.vcpu.Vcpu.vel2 in
+  Sysreg_file.of_page vel2 ~checked:false ~regs:exec_el2_regs
+    ~offs:exec_twin_slots (Memory.page_of t.cpu.Cpu.mem t.guest_stash);
   expose_fold t;
   if neve_on t then begin
     neve_drain t;
@@ -646,25 +875,19 @@ let emulate_eret t =
   end;
   t.vcpu.Vcpu.in_vel2 <- false;
   (* load the virtual EL1 context into hardware *)
-  List.iter
-    (fun r -> Cpu.msr t.cpu (Sysreg.direct r) (Vcpu.read_vel1 t.vcpu r))
-    (Reglists.el1_state @ Reglists.el0_state);
+  advance t (put_from t t.vcpu.Vcpu.vel1 state_regs);
   (* program the hardware vgic from the virtual EL2 interface *)
   let used = used_lrs_of_vel2 t in
   t.vcpu.Vcpu.used_lrs <- used;
-  Cpu.msr t.cpu (Sysreg.direct Sysreg.ICH_HCR_EL2)
-    (Vcpu.read_vel2 t.vcpu Sysreg.ICH_HCR_EL2);
-  Cpu.msr t.cpu (Sysreg.direct Sysreg.ICH_VMCR_EL2)
-    (Vcpu.read_vel2 t.vcpu Sysreg.ICH_VMCR_EL2);
+  let owed = ref (put t ich_hcr_i (Sysreg_file.get_index vel2 ich_hcr_i)) in
+  owed := !owed + put t ich_vmcr_i (Sysreg_file.get_index vel2 ich_vmcr_i);
   for i = 0 to used - 1 do
-    Cpu.msr t.cpu (Sysreg.direct (Sysreg.ICH_LR_EL2 i))
-      (Vcpu.read_vel2 t.vcpu (Sysreg.ICH_LR_EL2 i))
+    owed := !owed + put t lr_regs.(i) (Sysreg_file.get_index vel2 lr_regs.(i))
   done;
-  Cpu.msr t.cpu (Sysreg.direct Sysreg.CNTVOFF_EL2)
-    (Vcpu.read_vel2 t.vcpu Sysreg.CNTVOFF_EL2);
+  owed := !owed + put t cntvoff_i (Sysreg_file.get_index vel2 cntvoff_i);
   (* shadow stage-2 for the nested VM *)
-  WS.write_stage2 o ~vttbr:t.shadow_vttbr;
-  WS.activate_traps o ~vhe:false ~hcr:(hcr_for t ~vel2:false);
+  owed := !owed + write_stage2 t ~vttbr:t.shadow_vttbr;
+  advance t (!owed + activate_traps t ~hcr:(hcr_for t ~vel2:false));
   (* Section 6.2: while an L2 hypervisor runs, the hardware VNCR points at
      the page owned by the L1 guest hypervisor (BADDR translated by L0) *)
   (match (t.l2_is_hyp, t.l2_vncr) with
@@ -805,7 +1028,7 @@ let handle_irq t =
         { Gic.Vgic.empty_lr with Gic.Vgic.lr_state = Gic.Irq.Pending;
                                  lr_vintid = intid }
     in
-    Cpu.msr t.cpu (Sysreg.direct (Sysreg.ICH_LR_EL2 0)) lr;
+    advance t (put t lr_regs.(0) lr);
     t.vcpu.Vcpu.used_lrs <- max t.vcpu.Vcpu.used_lrs 1;
     l0_exit t;
     Cpu.do_eret t.cpu
@@ -958,28 +1181,16 @@ let kill_l2 t ~resume_pc =
 
 let handler t _cpu (e : Exn.entry) =
   t.exits <- t.exits + 1;
-  Log.debug (fun m ->
-      m "vcpu%d: exit #%d, %a" t.vcpu.Vcpu.id t.exits Exn.pp_entry e);
+  if debug_on () then
+    Log.debug (fun m ->
+        m "vcpu%d: exit #%d, %a" t.vcpu.Vcpu.id t.exits Exn.pp_entry e);
   l0_enter t;
   match e.Exn.ec with
   | Exn.EC_sysreg -> begin
-    let d = Exn.decode_sysreg_iss e.Exn.iss in
-    let access =
-      match Sysreg.of_enc d.Exn.ds_enc with
-      | Some reg -> Some (Sysreg.direct reg)
-      | None -> begin
-          (* op1=5 alias space *)
-          let op0, _, crn, crm, op2 = d.Exn.ds_enc in
-          match Sysreg.of_enc (op0, 0, crn, crm, op2) with
-          | Some reg -> Some (Sysreg.el12 reg)
-          | None -> begin
-              match Sysreg.of_enc (op0, 3, crn, crm, op2) with
-              | Some reg -> Some (Sysreg.el02 reg)
-              | None -> None
-            end
-        end
-    in
-    match access with
+    let iss = e.Exn.iss in
+    let rt = Exn.sysreg_iss_rt iss and is_read = Exn.sysreg_iss_is_read iss in
+    (* op1=5 alias space: _EL12 via op1=0, then _EL02 via op1=3 *)
+    match Exn.sysreg_iss_access iss with
     | None ->
       (* A trap syndrome naming no register the simulator knows.  The
          encoding is guest-controlled (the guest executed the access),
@@ -992,13 +1203,9 @@ let handler t _cpu (e : Exn.entry) =
          to the L1 guest hypervisor for emulation (Section 4: "trap on
          hypervisor instructions to the L0 host hypervisor, which can
          then forward it to the L1 guest hypervisor") *)
-      inject_vel2 t
-        (Vcpu.Exit_hyp_insn
-           { access; rt = d.Exn.ds_rt; is_read = d.Exn.ds_is_read })
+      inject_vel2 t (Vcpu.Exit_hyp_insn { access; rt; is_read })
     else begin
-      let switched =
-        emulate_sysreg t ~access ~rt:d.Exn.ds_rt ~is_read:d.Exn.ds_is_read
-      in
+      let switched = emulate_sysreg t ~access ~rt ~is_read in
       if not switched then begin
         l0_exit t;
         Cpu.do_eret t.cpu
@@ -1025,9 +1232,10 @@ let handler t _cpu (e : Exn.entry) =
     t.serror_contained <- t.serror_contained + 1;
     let syndrome = Int64.of_int (e.Exn.iss land 0x1ff_ffff) in
     t.pending_vserror <- Some syndrome;
-    Log.debug (fun m ->
-        m "vcpu%d: contained physical SError, syndrome=0x%Lx" t.vcpu.Vcpu.id
-          syndrome);
+    if debug_on () then
+      Log.debug (fun m ->
+          m "vcpu%d: contained physical SError, syndrome=0x%Lx" t.vcpu.Vcpu.id
+            syndrome);
     l0_exit t;
     (* after l0_exit: activate_traps has installed the guest HCR, so the
        VSE bit set here survives into guest execution *)
@@ -1039,9 +1247,29 @@ let handler t _cpu (e : Exn.entry) =
 
 (* --- construction --- *)
 
+(* The NEVE drain's slots for the common no-grant case, one per guest
+   hypervisor design, so creating a host (once per fuzz column, once per
+   migration) does no per-register work; a granted host computes its own.
+   domain-safety: allowlisted global — built at module load, read-only
+   afterwards. *)
+let drain_ungranted =
+  Array.map
+    (fun vhe ->
+      Core.Deferred_page.slots
+        (drain_keeps (Config.v ~guest_vhe:vhe Config.Hw_neve) Expose.Policy.none))
+    [| false; true |]
+
+let no_drain = Core.Deferred_page.slots (fun _ -> false)
+
+
 let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
   let vcpu = Vcpu.create ~id in
   let page = Core.Deferred_page.create cpu.Cpu.mem ~base:vcpu.Vcpu.page_base in
+  let l0_ctx = vcpu.Vcpu.host_ctx_base in
+  let guest_stash = Int64.add vcpu.Vcpu.host_ctx_base 0x2000L in
+  (* the nested-exit copies address the stash by page offset *)
+  if Memory.page_offset guest_stash <> 0 then
+    invalid_arg "Host_hyp.create: the stash area must be page-aligned";
   let t =
     {
       cpu;
@@ -1050,8 +1278,8 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
       expose;
       vcpu;
       page;
-      l0_ctx = Int64.add vcpu.Vcpu.host_ctx_base 0x0L;
-      guest_stash = Int64.add vcpu.Vcpu.host_ctx_base 0x2000L;
+      l0_ctx;
+      guest_stash;
       shadow_vttbr = 0x6000_0000L;
       on_vel2_entry = None;
       in_l1 = false;
@@ -1066,6 +1294,14 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
       l2_is_hyp = false;
       l2_vncr = None;
       l0_plans = [];
+      l0_cur = no_plan;
+      nested_hcr = nested_hcr config;
+      exposed = Reglists.index_array (exposed_regs expose);
+      drain_slots =
+        (if not (Config.is_neve config) then no_drain
+         else if Expose.Policy.is_none expose then
+           drain_ungranted.(if config.Config.guest_vhe then 1 else 0)
+         else Core.Deferred_page.slots (drain_keeps config expose));
     }
   in
   cpu.Cpu.el2_handler <- Some (fun cpu e -> handler t cpu e);

@@ -19,32 +19,14 @@ module Exn = Arm.Exn
 
 type scenario = Single_vm | Nested
 
-(** One pre-resolved register copy of a compiled l0 world-switch save
-    loop: read [lc_src] (route already applied), store to [lc_slot]. *)
-type l0_copy = { lc_src : Sysreg.t; lc_slot : int64 }
-
-(** One pre-resolved restore copy: load [lr_slot], write [lr_dst];
-    [lr_norm] records that the interpreted path would normalize the
-    immediate MSR (one extra instruction of cost). *)
-type l0_rest = { lr_slot : int64; lr_dst : Sysreg.t; lr_norm : bool }
-
-type l0_rseq = { lr_ops : l0_rest array; lr_norms : int }
-
-(** A compiled full-exit path (the save/restore loops of l0 enter/exit),
-    valid while HCR_EL2 equals [lp_hcr] and the feature record is
-    physically [lp_feats].  Replaying a plan is observably identical to
-    interpreting the loops through {!Cpu.exec} — same state writes,
-    meter charges, copy counts and PC movement — without the per-copy
-    routing and allocation. *)
-type l0_plan = {
-  lp_hcr : int64;
-  lp_feats : Arm.Features.t;
-  lp_save_el1 : l0_copy array;
-  lp_save_el0 : l0_copy array;
-  lp_rest_host : l0_rseq;
-  lp_rest_el1 : l0_rseq;
-  lp_rest_el0 : l0_rseq;
-}
+(** A compiled l0 exit path: every register's EL2 MRS/MSR route
+    resolved under one raw HCR_EL2 value and feature record, and the
+    world-switch copy loops resolved to (register, context-page offset)
+    arrays.  Replaying it is observably identical to interpreting the
+    path through {!Cpu.exec} — same state writes in the same order, meter
+    charges, copy counts, PC and scratch-register end state — without
+    the per-access routing and allocation. *)
+type l0_plan
 
 type t = {
   cpu : Cpu.t;
@@ -87,7 +69,15 @@ type t = {
       (** machine-physical VNCR to program while the L2 hypervisor runs:
           L1's virtual VNCR with a translated BADDR *)
   mutable l0_plans : l0_plan list;
-      (** compiled world-switch plans, one per (HCR, features) pair seen *)
+      (** compiled exit-path plans, one per (HCR, features) pair seen *)
+  mutable l0_cur : l0_plan;  (** the plan used last *)
+  nested_hcr : int64;
+      (** HCR_EL2 while a guest hypervisor runs: the configuration's
+          target value, or {!basic_hcr} on paravirtualized hardware *)
+  exposed : int array;  (** dense indices of the granted registers *)
+  drain_slots : Core.Deferred_page.slots;
+      (** deferred-page slots the NEVE drain writes back: all but the
+          twin-backed and the exposed registers' *)
 }
 
 val table : t -> Cost.table

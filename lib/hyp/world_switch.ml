@@ -205,10 +205,15 @@ let arm_vhe_hyp_timer ops ~cval =
 let cptr_access ~vhe =
   if vhe then Sysreg.direct Sysreg.CPACR_EL1 else Sysreg.direct Sysreg.CPTR_EL2
 
+(* CPTR and MDCR while a VM runs (the values written here are the host's
+   compiled exit path's too, see Host_hyp). *)
+let cptr_active = 0x33ffL
+let mdcr_active = 0xe66L
+
 let activate_traps ops ~vhe ~hcr =
   ops.wr (Sysreg.direct Sysreg.HCR_EL2) hcr;
-  ops.wr (cptr_access ~vhe) 0x33ffL;
-  ops.wr (Sysreg.direct Sysreg.MDCR_EL2) 0xe66L;
+  ops.wr (cptr_access ~vhe) cptr_active;
+  ops.wr (Sysreg.direct Sysreg.MDCR_EL2) mdcr_active;
   if not vhe then ops.wr (Sysreg.direct Sysreg.HSTR_EL2) 0L
 
 let deactivate_traps ops ~vhe =

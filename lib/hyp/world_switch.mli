@@ -108,6 +108,11 @@ val arm_vhe_hyp_timer : ops -> cval:int64 -> unit
     E2H-redirected EL1 timer instructions — never traps. *)
 
 val cptr_access : vhe:bool -> Sysreg.access
+
+val cptr_active : int64
+val mdcr_active : int64
+(** The CPTR and MDCR values {!activate_traps} writes. *)
+
 val activate_traps : ops -> vhe:bool -> hcr:int64 -> unit
 val deactivate_traps : ops -> vhe:bool -> unit
 val write_stage2 : ops -> vttbr:int64 -> unit

@@ -652,8 +652,12 @@ let machine_node (m : Machine.t) =
         L (Array.to_list (Array.map (opt (fun k -> int (fkind_code k))) m.Machine.irq_fault)) );
       ("hung", L (Array.to_list (Array.map (fun h -> B h) m.Machine.hung))) ]
 
+(* The buffer is allocated on every save (each migration) directly in
+   the major heap.  A two-vCPU nested image starts at about 18 KB and
+   grows with the memory the machine has touched; the buffer starts just
+   above the small end. *)
 let save m =
-  let b = Buffer.create 65536 in
+  let b = Buffer.create 24576 in
   encode b (machine_node m);
   b
 

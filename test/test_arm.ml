@@ -215,9 +215,9 @@ let test_sysreg_iss_roundtrip =
     (fun (reg, rt, is_read) ->
       let access = Sysreg.direct reg in
       let iss = Exn.sysreg_iss ~access ~rt ~is_read in
-      let d = Exn.decode_sysreg_iss iss in
-      d.Exn.ds_enc = Sysreg.access_enc access
-      && d.Exn.ds_rt = rt && d.Exn.ds_is_read = is_read)
+      Exn.sysreg_iss_access iss = Some access
+      && Exn.sysreg_iss_rt iss = rt
+      && Exn.sysreg_iss_is_read iss = is_read)
 
 (* --- A64 encoding --- *)
 

@@ -10,6 +10,7 @@ let () =
       ("core (NEVE)", Test_core.suite);
       ("world-switch", Test_world_switch.suite);
       ("host-internals", Test_host.suite);
+      ("trap-path", Test_trap_path.suite);
       ("hypervisor", Test_hyp.suite);
       ("x86", Test_x86.suite);
       ("riscv", Test_riscv.suite);
