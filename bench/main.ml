@@ -263,18 +263,6 @@ let benchmarks () =
    snapshot per tree — so runs of successive trees can be diffed
    mechanically against the committed BENCH_PRn.json baselines. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 type config_sample = {
   cs_name : string;
   cs_workload : string;
@@ -384,16 +372,16 @@ let buf_sample b s =
     \     \"wall_ops_per_sec\": %.1f, \"wall_sim_insns_per_sec\": %.1f,\n\
     \     \"trap_breakdown\": {%s},\n\
     \     \"exposed_accesses\": {%s}}"
-    (json_escape s.cs_name) s.cs_workload s.cs_ops s.cs_wall s.cs_cycles
+    (Trace.json_escape s.cs_name) s.cs_workload s.cs_ops s.cs_wall s.cs_cycles
     s.cs_insns s.cs_traps (fop s.cs_cycles) (fop s.cs_traps)
     (per_sec s.cs_ops) (per_sec s.cs_insns)
     (String.concat ", "
        (List.map
-          (fun (k, n) -> Printf.sprintf "\"%s\": %d" (json_escape k) n)
+          (fun (k, n) -> Printf.sprintf "\"%s\": %d" (Trace.json_escape k) n)
           s.cs_breakdown))
     (String.concat ", "
        (List.map
-          (fun (k, n) -> Printf.sprintf "\"%s\": %d" (json_escape k) n)
+          (fun (k, n) -> Printf.sprintf "\"%s\": %d" (Trace.json_escape k) n)
           s.cs_exposed))
 
 (* the argument after [--out], if any; CI passes it explicitly so the

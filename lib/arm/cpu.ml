@@ -42,9 +42,8 @@ type t = {
      switches, so the view is reused while the raw value is unchanged. *)
   mutable hcr_raw : int64;
   mutable hcr_cached : Hcr.view;
-  (* Per-CPU superblock translation + decode cache (see Xlate).  Owned
-     here so every machine gets its own — the former module-global decode
-     cache in Interp was shared across machines. *)
+  (* Per-CPU decode cache (see Xlate): owned here so no machine can
+     evict another's entries. *)
   xlate : Xlate.t;
 }
 
@@ -376,7 +375,6 @@ and exec_action t (insn : Insn.t) action =
     end
     else raise (Undefined_instruction (insn, t.pstate.Pstate.el))
 
-let exec_with_action = exec_action
 let exec_seq t insns = List.iter (exec t) insns
 
 (* A physical interrupt arrives while the CPU runs below EL2 with IMO set:

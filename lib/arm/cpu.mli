@@ -45,8 +45,8 @@ type t = {
           refreshed only when this changes *)
   mutable hcr_cached : Hcr.view;
   xlate : Xlate.t;
-      (** per-CPU superblock translation + decode cache (each machine
-          gets its own; the interpreter executes through it) *)
+      (** per-CPU decode cache (each machine gets its own; the
+          interpreter decodes through it) *)
 }
 
 and handler = t -> Exn.entry -> unit
@@ -100,19 +100,6 @@ val exec : t -> Insn.t -> unit
 (** Execute one instruction: route it ({!Trap_rules.route}), then run,
     redirect, defer to memory, disguise, trap to EL2, or raise
     {!Undefined_instruction}. *)
-
-val exec_local : t -> Insn.t -> unit
-(** Execute with no routing, as if the router said [Execute].  Only
-    sound for instructions the router maps to [Execute] unconditionally
-    (the superblock executor's [Plain] class). *)
-
-val exec_with_action : t -> Insn.t -> Trap_rules.action -> unit
-(** Execute under a pre-computed route action — the superblock
-    executor's replay path for cached [Routed] ops.  The action must
-    equal what {!Trap_rules.route} would return for the current state;
-    immediate-MSR normalization is NOT performed here, so callers must
-    route [Msr (_, Imm _)] with a non-[Execute] action through {!exec}
-    instead. *)
 
 val exec_seq : t -> Insn.t list -> unit
 

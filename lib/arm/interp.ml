@@ -2,32 +2,13 @@
 
    Programs are stored as 32-bit words in simulated physical memory
    (packed two per 64-bit word); the interpreter fetches at PC, decodes
-   (Encode.decode) and executes (Cpu.exec), with all the trap machinery
-   applying.  This is what makes the binary-patching flavour of the
-   paper's paravirtualization (Section 4) a real execution path: a guest
-   hypervisor image can be patched word-for-word in memory and then run
-   from memory.
-
-   Two execution engines share the loop semantics:
-
-   - the stepwise engine: the historical one-instruction-at-a-time
-     fetch/decode/route loop, used when [on_step] or tracing demands
-     per-instruction granularity (or when superblocks are disabled);
-   - the superblock engine: runs through the per-CPU {!Xlate} cache —
-     straight-line code is decoded and route-classified once per
-     (block-entry PC, CPU) and replayed with two integer compares of
-     side-exit validation per instruction.  Side exits return control to
-     the dispatch loop whenever PC diverges from the straight line (a
-     branch, an exception, a handler redirect), a store lands in the
-     tracked code envelope (self-modifying code, the Section-4 patching
-     path), route state changes mid-block (HCR_EL2/VNCR_EL2/EL/features),
-     the budget runs out, or [stop] fires.
-
-   Both engines make identical simulated observations by construction:
-   every instruction still executes through [Cpu.exec_local] /
-   [Cpu.exec_with_action] with the same routing results (cached actions
-   are validated against the exact route inputs), the same cost charges,
-   the same trap entries, and the same [stop]-check cadence. *)
+   through the CPU's decode cache ({!Xlate}) and executes (Cpu.exec),
+   with all the trap machinery applying.  This is what makes the
+   binary-patching flavour of the paper's paravirtualization (Section 4)
+   a real execution path: a guest hypervisor image can be patched
+   word-for-word in memory and then run from memory.  Every instruction
+   is fetched afresh, and the decode cache is keyed by the word itself,
+   so patched code takes effect on the next fetch. *)
 
 type outcome =
   | Halted of int64   (* fetched an unencodable word at this address,
@@ -42,23 +23,40 @@ let pp_outcome ppf = function
   | Limit -> Fmt.string ppf "limit"
   | Stopped -> Fmt.string ppf "stopped"
 
-let halt_marker = Xlate.halt_marker
+(* --- program memory (two A64 words per 64-bit memory word) --- *)
 
-(* --- program memory --- *)
+let fetch32 mem addr =
+  let word = Memory.read64 mem (Int64.logand addr (Int64.lognot 7L)) in
+  let hi = Int64.logand addr 4L <> 0L in
+  Int64.to_int
+    (Int64.logand
+       (if hi then Int64.shift_right_logical word 32 else word)
+       0xffff_ffffL)
 
-let fetch32 = Xlate.fetch32
-let store32 = Xlate.store32
+let store32 mem addr v =
+  let base = Int64.logand addr (Int64.lognot 7L) in
+  let word = Memory.read64 mem base in
+  let v64 = Int64.logand (Int64.of_int v) 0xffff_ffffL in
+  let word' =
+    if Int64.logand addr 4L <> 0L then
+      Int64.logor
+        (Int64.logand word 0x0000_0000_ffff_ffffL)
+        (Int64.shift_left v64 32)
+    else Int64.logor (Int64.logand word 0xffff_ffff_0000_0000L) v64
+  in
+  Memory.write64 mem base word'
 
-(* Load an encoded program at [base]; appends the halt marker and grows
-   the memory's tracked code envelope so later stores into the program
-   invalidate any superblocks decoded from it. *)
+(* The halt marker: an architecturally-valid instruction a test program
+   ends with ([hvc #0x3f] would be a real hypercall, so use a branch-to-
+   self, the canonical "parking" instruction). *)
+let halt_marker = Encode.encode (Insn.B 0)
+
+(* Load an encoded program at [base] and append the halt marker. *)
 let load mem ~base (words : int array) =
   Array.iteri
     (fun i w -> store32 mem (Int64.add base (Int64.of_int (i * 4))) w)
     words;
-  store32 mem (Int64.add base (Int64.of_int (Array.length words * 4))) halt_marker;
-  Memory.track_code mem ~lo:base
-    ~hi:(Int64.add base (Int64.of_int ((Array.length words + 1) * 4)))
+  store32 mem (Int64.add base (Int64.of_int (Array.length words * 4))) halt_marker
 
 (* Assemble a program (encode each instruction) and load it. *)
 let load_program mem ~base insns =
@@ -74,26 +72,14 @@ let misaligned pc = Int64.logand pc 3L <> 0L
    misaligned PC, or the instruction budget runs out.  [on_step] fires
    before each executed instruction — the fault injector's hook into
    straight-line guest code.  Any non-positive budget is already
-   exhausted (a negative one must not run unbounded).
-
-   [superblocks] overrides the global {!Xlate.enabled} default for this
-   run (the equivalence suite runs both engines over identical inputs).
-   [on_step] and live tracing force the stepwise engine regardless: both
-   want per-instruction granularity. *)
-let run ?on_step ?(stop = fun _ -> false) ?superblocks (cpu : Cpu.t) ~entry
-    ~max_insns =
+   exhausted (a negative one must not run unbounded). *)
+let run ?on_step ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
   cpu.Cpu.pc <- entry;
   if !Trace.on then
     Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:entry
       ~a1:(Int64.of_int max_insns) Trace.Run_begin;
   let mem = cpu.Cpu.mem in
   let xc = cpu.Cpu.xlate in
-  let use_blocks =
-    (match superblocks with Some b -> b | None -> !Xlate.enabled)
-    && (match on_step with None -> true | Some _ -> false)
-    && not !Trace.on
-  in
-  (* --- stepwise engine --- *)
   let rec step budget =
     if stop cpu then Stopped
     else if budget <= 0 then Limit
@@ -111,113 +97,7 @@ let run ?on_step ?(stop = fun _ -> false) ?superblocks (cpu : Cpu.t) ~entry
             Cpu.exec cpu insn;
             step (budget - 1)
   in
-  (* --- superblock engine --- *)
-  (* Route-input validation for cached actions: the exact inputs of
-     [Trap_rules.route].  HCR/VNCR are read from the register file (not
-     the decoded-HCR cache, which refreshes lazily). *)
-  let sysregs = cpu.Cpu.sysregs in
-  let key_ok (blk : Xlate.block) =
-    blk.Xlate.k_el == cpu.Cpu.pstate.Pstate.el
-    && blk.Xlate.k_hcr = Sysreg_file.read sysregs Sysreg.HCR_EL2
-    && blk.Xlate.k_vncr = Sysreg_file.read sysregs Sysreg.VNCR_EL2
-    && blk.Xlate.k_features == cpu.Cpu.features
-    && blk.Xlate.k_mask == cpu.Cpu.nv2_mask
-    && Expose.Policy.equal blk.Xlate.k_expose cpu.Cpu.expose
-  in
-  let rekey blk =
-    let hcr = Cpu.hcr_view cpu in
-    let hcr_raw = cpu.Cpu.hcr_raw in
-    Xlate.re_route blk ~el:cpu.Cpu.pstate.Pstate.el ~hcr ~hcr_raw
-      ~vncr:(Cpu.vncr_value cpu) ~features:cpu.Cpu.features
-      ~mask:cpu.Cpu.nv2_mask ~expose:cpu.Cpu.expose
-  in
-  (* Replay one cached route-sensitive op.  On a key mismatch the block
-     is re-routed under the current inputs and the op retried — an exact
-     memoization of what [Cpu.exec] would route right now. *)
-  let rec exec_routed blk (r : Xlate.op) =
-    match r with
-    | Xlate.Plain _ -> assert false
-    | Xlate.Routed { insn; action } ->
-      if key_ok blk then begin
-        match action with
-        | Trap_rules.Execute -> Cpu.exec_local cpu insn
-        | act -> begin
-            match insn with
-            | Insn.Msr (_, Insn.Imm _) ->
-              (* exec performs the immediate-MSR normalization (mov to
-                 the scratch register + re-route with the Reg form) *)
-              Cpu.exec cpu insn
-            | _ -> Cpu.exec_with_action cpu insn act
-          end
-      end
-      else begin
-        rekey blk;
-        exec_routed blk r
-      end
-  in
-  let rec bstep budget =
-    if stop cpu then Stopped
-    else if budget <= 0 then Limit
-    else
-      let pc = cpu.Cpu.pc in
-      if misaligned pc then Halted pc
-      else begin
-        let gen = Memory.code_gen mem in
-        let hcr = Cpu.hcr_view cpu in
-        let hcr_raw = cpu.Cpu.hcr_raw in
-        let blk =
-          Xlate.lookup xc mem ~pc ~gen ~el:cpu.Cpu.pstate.Pstate.el ~hcr
-            ~hcr_raw ~vncr:(Cpu.vncr_value cpu) ~features:cpu.Cpu.features
-            ~mask:cpu.Cpu.nv2_mask ~expose:cpu.Cpu.expose
-        in
-        let ops = blk.Xlate.ops in
-        let n = Array.length ops in
-        if n = 0 then
-          (* entry sits on the halt marker or an unknown word;
-             stop/budget/alignment were checked above, and the lookup
-             validated the code generation *)
-          match blk.Xlate.term with
-          | Xlate.T_halt -> Breakpoint
-          | Xlate.T_unknown -> Halted pc
-          | Xlate.T_fallthrough | Xlate.T_branch -> assert false
-        else
-          (* Execute op [i]; stop/budget/alignment already checked for
-             it (by this dispatcher for op 0, by the previous iteration
-             for the rest — the same once-per-instruction cadence as the
-             stepwise engine). *)
-          let rec go i budget =
-            (match Array.unsafe_get ops i with
-            | Xlate.Plain insn -> Cpu.exec_local cpu insn
-            | Xlate.Routed _ as r -> exec_routed blk r);
-            let budget = budget - 1 in
-            let expected =
-              Int64.add blk.Xlate.entry (Int64.of_int ((i + 1) * 4))
-            in
-            (* Side exits: control left the straight line (branch taken,
-               exception, handler redirect) or code was modified under
-               our feet — back to the dispatcher, which re-validates. *)
-            if cpu.Cpu.pc <> expected || Memory.code_gen mem <> gen then
-              bstep budget
-            else if i + 1 >= n then begin
-              match blk.Xlate.term with
-              | Xlate.T_branch | Xlate.T_fallthrough -> bstep budget
-              | Xlate.T_halt ->
-                if stop cpu then Stopped
-                else if budget <= 0 then Limit
-                else Breakpoint
-              | Xlate.T_unknown ->
-                if stop cpu then Stopped
-                else if budget <= 0 then Limit
-                else Halted expected
-            end
-            else if stop cpu then Stopped
-            else if budget <= 0 then Limit
-            else go (i + 1) budget
-          in
-          go 0 budget
-      end
-  in
-  let outcome = if use_blocks then bstep max_insns else step max_insns in
+  let outcome = step max_insns in
   if !Trace.on then
     Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:cpu.Cpu.pc
       ~detail:(Fmt.str "%a" pp_outcome outcome) Trace.Run_end;

@@ -7,12 +7,9 @@
     execution path: patch a guest-hypervisor image word-for-word in
     memory ({!Hyp.Paravirt.patch_text}) and run it from memory.
 
-    The hot loop runs through the per-CPU superblock translation cache
-    ({!Xlate}): straight-line code is decoded and route-classified once
-    per (block-entry PC, CPU) and replayed with cheap side-exit
-    validation, falling back to the stepwise engine when [on_step] or
-    live tracing demands per-instruction granularity.  Both engines are
-    observation-equivalent by construction. *)
+    Every instruction is fetched afresh and decoded through the CPU's
+    word-keyed decode cache ({!Xlate}), so a patched word takes effect
+    on its next fetch. *)
 
 type outcome =
   | Halted of int64
@@ -28,12 +25,13 @@ val halt_marker : int
 (** The parking instruction ([b .+0]) terminating loaded programs. *)
 
 val fetch32 : Memory.t -> int64 -> int
+(** Fetch the 32-bit instruction word at an address (words are packed
+    two per 64-bit memory word). *)
+
 val store32 : Memory.t -> int64 -> int -> unit
 
 val load : Memory.t -> base:int64 -> int array -> unit
-(** Store an encoded program, append the halt marker, and grow the
-    memory's tracked code envelope ({!Memory.track_code}) so later
-    stores into the program invalidate superblocks decoded from it. *)
+(** Store an encoded program and append the halt marker. *)
 
 val load_program : Memory.t -> base:int64 -> Insn.t list -> unit
 (** Assemble (encode) and load. *)
@@ -41,18 +39,16 @@ val load_program : Memory.t -> base:int64 -> Insn.t list -> unit
 val run :
   ?on_step:(Cpu.t -> unit) ->
   ?stop:(Cpu.t -> bool) ->
-  ?superblocks:bool ->
   Cpu.t ->
   entry:int64 ->
   max_insns:int ->
   outcome
 (** [on_step] fires before each executed instruction — the hook used by
-    the fault injector to perturb straight-line guest code (it forces
-    the stepwise engine).  [stop] is checked before each instruction;
-    when it returns [true] the run ends with {!Stopped} — the
-    differential fuzzer's way of ending a program at a semantic boundary
-    (leaving virtual EL2) rather than an address.  [superblocks]
-    overrides the global {!Xlate.enabled} default for this run. *)
+    the fault injector to perturb straight-line guest code.  [stop] is
+    checked before each instruction; when it returns [true] the run ends
+    with {!Stopped} — the differential fuzzer's way of ending a program
+    at a semantic boundary (leaving virtual EL2) rather than an
+    address. *)
 
 val disassemble : Memory.t -> base:int64 -> count:int -> (int64 * string) list
 (** Decodes through the pure decoder, never a CPU's execution cache. *)

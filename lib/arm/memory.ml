@@ -11,12 +11,7 @@
    of integer compares instead of an int64-keyed hash lookup per access.
    Bytes pages hold their words unboxed and are opaque to the GC: a
    store is a plain 8-byte write with no int64 box allocation and no
-   write barrier, and the collector never scans page contents.
-
-   The memory also tracks a code envelope [code_lo, code_hi): stores that
-   land inside it bump [code_gen], which the interpreter's superblock
-   translation cache uses to invalidate decoded blocks when guest code is
-   patched at runtime (the paper's Section 4 binary-patching path). *)
+   write barrier, and the collector never scans page contents. *)
 
 let page_bytes = 4096
 let page_words = page_bytes / 8
@@ -39,9 +34,6 @@ type t = {
       (* write observer (dirty-page tracking): called with the byte
          address after every stored word.  One option check on the store
          path when unused. *)
-  mutable code_lo : int64; (* tracked code envelope, inclusive *)
-  mutable code_hi : int64; (* exclusive; empty when lo >= hi *)
-  mutable code_gen : int; (* bumped on any store into the envelope *)
 }
 
 let create () =
@@ -51,9 +43,6 @@ let create () =
     cache_pg = Array.make cache_slots no_page;
     mmio = [];
     on_write = None;
-    code_lo = Int64.max_int;
-    code_hi = Int64.min_int;
-    code_gen = 0;
   }
 
 (* Unsafe unboxed word accessors: every caller derives the offset from a
@@ -106,7 +95,6 @@ let write64 t addr v =
   check_aligned addr;
   let p = get_or_create_page t (page_index addr) in
   set_word p (byte_index addr) v;
-  if addr >= t.code_lo && addr < t.code_hi then t.code_gen <- t.code_gen + 1;
   match t.on_write with None -> () | Some f -> f addr
 
 (* --- page-level word access ---
@@ -114,9 +102,9 @@ let write64 t addr v =
    For loops that move many words within one page (the host's
    world-switch context areas, the deferred access page): look the page
    up once, then read or write its bytes directly.  A direct store skips
-   [write64]'s per-word code-envelope check and observer call, so a loop
-   may only store directly into a page for which [plain_page] holds; it
-   must otherwise fall back to [write64] per word. *)
+   [write64]'s per-word observer call, so a loop may only store directly
+   while [unobserved] holds; it must otherwise fall back to [write64]
+   per word. *)
 
 let page_of t addr = find_page t (page_index addr)
 
@@ -124,13 +112,7 @@ let page_for_store t addr = get_or_create_page t (page_index addr)
 
 let page_offset addr = byte_index addr
 
-let plain_page t addr =
-  match t.on_write with
-  | Some _ -> false
-  | None ->
-    let lo = Int64.logand addr (Int64.lognot 0xfffL) in
-    let hi = Int64.add lo (Int64.of_int page_bytes) in
-    not (lo < t.code_hi && hi > t.code_lo)
+let unobserved t = Option.is_none t.on_write
 
 let add_mmio_region t ~start ~len ~name =
   t.mmio <- (start, Int64.add start len, name) :: t.mmio
@@ -143,19 +125,7 @@ let mmio_region_of t addr =
 let clear t =
   Hashtbl.reset t.pages;
   Array.fill t.cache_idx 0 cache_slots min_int;
-  Array.fill t.cache_pg 0 cache_slots no_page;
-  (* contents changed wholesale (snapshot restore): decoded code is stale *)
-  t.code_gen <- t.code_gen + 1
-
-(* Grow the tracked code envelope to cover [lo, hi) and count the load
-   itself as a code change (any blocks decoded from the old contents of
-   that range are stale). *)
-let track_code t ~lo ~hi =
-  if lo < t.code_lo then t.code_lo <- lo;
-  if hi > t.code_hi then t.code_hi <- hi;
-  t.code_gen <- t.code_gen + 1
-
-let code_gen t = t.code_gen
+  Array.fill t.cache_pg 0 cache_slots no_page
 
 (* Every backed nonzero word, in no particular order. *)
 let iter_nonzero t f =
@@ -178,8 +148,7 @@ let sorted_words t =
   List.sort (fun (a, _) (b, _) -> Int64.compare a b) !acc
 
 (* Zero an aligned range (used to initialize deferred access pages).
-   Like the word store, invalidates decoded code if the range overlaps
-   the envelope; unlike it, does not fire the write observer. *)
+   Unlike the word store, does not fire the write observer. *)
 let zero_range t ~start ~len =
   check_aligned start;
   let words = Int64.to_int len / 8 in
@@ -187,6 +156,4 @@ let zero_range t ~start ~len =
     let addr = Int64.add start (Int64.of_int (i * 8)) in
     let p = find_page t (page_index addr) in
     if p != no_page then set_word p (byte_index addr) 0L
-  done;
-  let stop = Int64.add start len in
-  if start < t.code_hi && stop > t.code_lo then t.code_gen <- t.code_gen + 1
+  done

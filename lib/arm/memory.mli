@@ -16,9 +16,6 @@ type t = {
   mutable on_write : (int64 -> unit) option;
       (** write observer (dirty-page tracking): called with the byte
           address after every stored word *)
-  mutable code_lo : int64;
-  mutable code_hi : int64;
-  mutable code_gen : int;
 }
 
 val create : unit -> t
@@ -47,12 +44,10 @@ val page_for_store : t -> int64 -> Bytes.t
 val page_offset : int64 -> int
 (** Byte offset of [addr] within its page. *)
 
-val plain_page : t -> int64 -> bool
-(** No write observer is attached and the page holding [addr] lies
-    outside the tracked code envelope: a raw store into its bytes is
+val unobserved : t -> bool
+(** No write observer is attached: a raw store into a page's bytes is
     then exactly {!write64}.  When false, stores must go through
-    {!write64} so the observer sees every word, in order, and code
-    changes bump {!code_gen}. *)
+    {!write64} so the observer sees every word, in order. *)
 
 val add_mmio_region : t -> start:int64 -> len:int64 -> name:string -> unit
 (** Register a device region (left unmapped at stage 2 so accesses fault
@@ -71,20 +66,8 @@ val iter_nonzero : t -> (int64 -> int64 -> unit) -> unit
     order (use {!sorted_words} for a canonical view). *)
 
 val clear : t -> unit
-(** Drop all backed words.  Also counts as a code change (see
-    {!code_gen}): snapshot restore rewrites memory wholesale, so any
-    decoded blocks are stale. *)
+(** Drop all backed words (snapshot restore). *)
 
 val zero_range : t -> start:int64 -> len:int64 -> unit
 (** Zero an aligned range (page initialization).  Does not fire the
-    write observer; does invalidate decoded code if the range overlaps
-    the tracked envelope. *)
-
-val track_code : t -> lo:int64 -> hi:int64 -> unit
-(** Grow the tracked code envelope to cover byte range [\[lo, hi)].
-    Stores landing inside the envelope bump {!code_gen}, which the
-    interpreter's superblock cache checks to invalidate decoded blocks
-    when code is patched at runtime. *)
-
-val code_gen : t -> int
-(** Generation counter for the tracked code envelope (monotonic). *)
+    write observer. *)

@@ -43,7 +43,7 @@ val to_page : t -> regs:int array -> offs:int array -> Bytes.t -> unit
 (** [to_page t ~regs ~offs page] stores register [regs.(k)] (a dense
     index) into the 8-byte word at byte [offs.(k)] of [page] (a
     {!Memory.page_of}/{!Memory.page_for_store} page), for every [k].  A
-    raw page store: the caller has checked {!Memory.plain_page}. *)
+    raw page store: the caller has checked {!Memory.unobserved}. *)
 
 val of_page :
   t -> checked:bool -> regs:int array -> offs:int array -> Bytes.t -> unit

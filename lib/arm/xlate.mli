@@ -1,64 +1,11 @@
-(** Superblock translation cache for the interpreter hot loop.
+(** Per-CPU decode cache for the interpreter loop ({!Interp.run}).
 
-    Straight-line code is decoded once into a flat, pre-resolved op array
-    per (block-entry PC, CPU), with trap-rule routing hoisted from
-    per-instruction {!Cpu.exec} to block formation.  Blocks are validated
-    against {!Memory.code_gen} (stores into the tracked code envelope
-    invalidate them) and against the exact route inputs their cached
-    actions were computed under (EL, raw HCR_EL2, VNCR_EL2, features,
-    ablation mask, OoH exposure policy) — a mismatch re-routes in place,
-    making the cache an exact memoization of {!Trap_rules.route}.
-
-    This module holds the data and formation logic only; execution lives
-    in {!Interp}, which also owns the side-exit rules (PC divergence,
-    mid-block code writes, budget/stop/hook granularity). *)
-
-val enabled : bool ref
-(** Global default for whether {!Interp.run} uses superblocks
-    (initialized from the [NEVE_SUPERBLOCKS] environment variable;
-    [0]/[off]/[false] disable). *)
-
-val fetch32 : Memory.t -> int64 -> int
-(** Fetch the 32-bit instruction word at an address (words are packed
-    two per 64-bit memory word). *)
-
-val store32 : Memory.t -> int64 -> int -> unit
-
-val halt_marker : int
-(** The parking instruction ([b .+0]) terminating loaded programs. *)
-
-type op =
-  | Plain of Insn.t
-      (** routes to [Execute] unconditionally; no validation ever *)
-  | Routed of { insn : Insn.t; mutable action : Trap_rules.action }
-      (** route-sensitive; [action] is valid under the block key *)
-
-type terminal =
-  | T_fallthrough  (** size cap: continue at the next PC *)
-  | T_branch  (** last op rewrites PC itself *)
-  | T_halt  (** next word is the halt marker *)
-  | T_unknown  (** next word does not decode *)
-
-type block = {
-  entry : int64;
-  ops : op array;
-  term : terminal;
-  mutable gen : int;
-  mutable k_el : Pstate.el;
-  mutable k_hcr : int64;
-  mutable k_vncr : int64;
-  mutable k_features : Features.t;
-  mutable k_mask : Trap_rules.nv2_mask;
-  mutable k_expose : Expose.Policy.t;
-}
-
-val max_block_ops : int
+    Keyed by the instruction word itself, so code patched at runtime
+    re-decodes without any invalidation: a new word is a new key. *)
 
 type t
-(** Per-CPU translation state: the decode cache and the superblock
-    cache.  Each simulated CPU owns one (see {!Cpu.t}) — the former
-    module-global decode cache was shared by every machine in the
-    process, which [disassemble] could corrupt mid-run. *)
+(** One per simulated CPU (see {!Cpu.t}), so no other machine can evict
+    its entries mid-run. *)
 
 val create : unit -> t
 
@@ -69,35 +16,3 @@ val decode : t -> int -> Encode.decoded
 val decode_cache_size : int
 (** Number of direct-mapped decode slots — words congruent modulo this
     collide on a slot (exported so tests can construct collisions). *)
-
-val flush : t -> unit
-(** Drop all cached blocks and decoded words. *)
-
-val lookup :
-  t ->
-  Memory.t ->
-  pc:int64 ->
-  gen:int ->
-  el:Pstate.el ->
-  hcr:Hcr.view ->
-  hcr_raw:int64 ->
-  vncr:int64 ->
-  features:Features.t ->
-  mask:Trap_rules.nv2_mask ->
-  expose:Expose.Policy.t ->
-  block
-(** The cached block entered at [pc] and decoded under generation [gen],
-    built fresh if absent or stale. *)
-
-val re_route :
-  block ->
-  el:Pstate.el ->
-  hcr:Hcr.view ->
-  hcr_raw:int64 ->
-  vncr:int64 ->
-  features:Features.t ->
-  mask:Trap_rules.nv2_mask ->
-  expose:Expose.Policy.t ->
-  unit
-(** Recompute every cached action under the current route inputs and
-    rekey the block (the mid-block side-exit repair path). *)

@@ -78,9 +78,9 @@ let drain t ~write_virtual =
    EL2-level slots from [el2], the rest from [el1] — instead of through a
    per-slot closure, and the page is looked up once.  Stores go through
    [Memory.write64] per slot, in layout order, whenever a write observer
-   is attached or the page overlaps the code envelope, so both see every
-   stored word in order; otherwise the order of the raw stores is
-   unobservable (each slot is written once). *)
+   is attached, so it sees every stored word in order; otherwise the
+   order of the raw stores is unobservable (each slot is written
+   once). *)
 type slots = {
   el2_regs : int array;  (* dense register indices, EL2-level slots *)
   el2_offs : int array;  (* their byte offsets in the page *)
@@ -115,7 +115,7 @@ let slots keep =
 let all_slots = slots (fun _ -> true)
 
 let populate_files t ~el2 ~el1 =
-  if Memory.plain_page t.mem t.base then begin
+  if Memory.unobserved t.mem then begin
     let pg = Memory.page_for_store t.mem t.base in
     let s = all_slots in
     Arm.Sysreg_file.to_page el2 ~regs:s.el2_regs ~offs:s.el2_offs pg;

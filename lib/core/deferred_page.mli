@@ -61,8 +61,8 @@ val slots : (Arm.Sysreg.t -> bool) -> slots
 val populate_files : t -> el2:Arm.Sysreg_file.t -> el1:Arm.Sysreg_file.t -> unit
 (** {!populate} from two register files: EL2-level slots from [el2],
     the rest from [el1].  The page is looked up once; with a write
-    observer attached, or the page inside the code envelope, every slot
-    is stored through {!Arm.Memory.write64} in layout order. *)
+    observer attached, every slot is stored through
+    {!Arm.Memory.write64} in layout order. *)
 
 val drain_files :
   t -> slots -> el2:Arm.Sysreg_file.t -> el1:Arm.Sysreg_file.t -> unit

@@ -253,20 +253,6 @@ let pp_stats ppf st =
        fs);
   Fmt.pf ppf "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_stats st =
   let b = Buffer.create 512 in
   Buffer.add_string b
@@ -285,8 +271,8 @@ let json_stats st =
     (fun i (name, traps) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"traps\":%d}" (json_escape name)
-           traps))
+        (Printf.sprintf "{\"name\":\"%s\",\"traps\":%d}"
+           (Trace.json_escape name) traps))
     st.s_column_traps;
   Buffer.add_string b "],\"found\":[";
   List.iteri
@@ -298,11 +284,12 @@ let json_stats st =
            f.f_program (Array.length f.f_words)
            (Array.length f.f_min_words)
            (match f.f_repro_path with
-            | Some p -> Printf.sprintf "\"repro\":\"%s\"," (json_escape p)
+            | Some p ->
+              Printf.sprintf "\"repro\":\"%s\"," (Trace.json_escape p)
             | None -> "")
            (String.concat ","
               (List.map
-                 (fun d -> "\"" ^ json_escape d ^ "\"")
+                 (fun d -> "\"" ^ Trace.json_escape d ^ "\"")
                  f.f_divergences))))
     st.s_found;
   Buffer.add_string b "]}";

@@ -467,8 +467,8 @@ let stash_slot t r = Int64.add t.guest_stash (Int64.of_int (Reglists.ctx_slot r)
    meter or PC (no tracing, no special registers), so the charges are
    applied in aggregate; the PC advance is returned, for the caller to
    pay with the rest of the exit path's.  The words go straight into the
-   page's bytes unless a write observer is attached or the page overlaps
-   the code envelope; then each goes through [Memory.write64], in order. *)
+   page's bytes unless a write observer is attached; then each goes
+   through [Memory.write64], in order. *)
 let run_save t (l : l0_loop) =
   let cpu = t.cpu in
   let m = cpu.Cpu.meter in
@@ -478,7 +478,7 @@ let run_save t (l : l0_loop) =
   let n = Array.length l.ll_regs in
   WS.add_copies n;
   if n > 0 then begin
-    if Memory.plain_page mem l.ll_ctx then begin
+    if Memory.unobserved mem then begin
       Sysreg_file.to_page file ~regs:l.ll_regs ~offs:l.ll_offs
         (Memory.page_for_store mem l.ll_ctx);
       Cpu.set_reg cpu Cpu.scratch_reg

@@ -141,11 +141,8 @@ val tlbi_bcast : t -> cpu:int -> Mmu.Shootdown.scope -> unit
 val dsb_sync : t -> cpu:int -> unit
 val bbm_make : t -> cpu:int -> ipa:int64 -> pa:int64 -> unit
 
-val smp_remap : ?broadcast:bool -> t -> cpu:int -> ipa:int64 -> pa:int64 -> unit
-(** Remap a live page.  [broadcast:true] (default) runs the full fixed
-    protocol; [broadcast:false] reproduces the pre-fix local-only
-    invalidation so the regression test can observe remote stale
-    reads. *)
+val smp_remap : t -> cpu:int -> ipa:int64 -> pa:int64 -> unit
+(** Remap a live page: break, TLBI broadcast, DSB, make. *)
 
 val shootdown_stats : t -> Mmu.Shootdown.stats option
 (** [None] until the first SMP operation. *)

@@ -133,6 +133,15 @@ let run_spec ?(requests = default_requests)
   let migrations = ref 0 and drops = ref 0 in
   let virq_lat = ref [] and req_lat = ref [] in
   let packets_per_request = max 1 (p.Profiles.burst) in
+  (* The shootdown/BBM verdict covers every migration segment: each
+     destination starts with fresh shootdown state, so a segment's
+     violations are read before its machine is left behind. *)
+  let clean = ref true in
+  let close_segment m =
+    match Machine.shootdown_stats m with
+    | Some s -> clean := !clean && Mmu.Shootdown.clean s
+    | None -> ()
+  in
   for r = 0 to requests - 1 do
     (* migration round: the stream continues on the destination, whose
        TLBs (and the whole shootdown state) come back cold — so the SMP
@@ -141,6 +150,7 @@ let run_spec ?(requests = default_requests)
       let dst, _report =
         Snap.Migrate.run ~workload:(fun _ ~round:_ -> ()) !m
       in
+      close_segment !m;
       m := dst;
       incr migrations;
       setup_smp !m;
@@ -187,11 +197,7 @@ let run_spec ?(requests = default_requests)
       if Machine.is_hung m ~cpu:c then Machine.clear_hung m ~cpu:c
     done
   done;
-  let clean =
-    match Machine.shootdown_stats !m with
-    | Some s -> Mmu.Shootdown.clean s
-    | None -> true
-  in
+  close_segment !m;
   let r =
     {
       r_index = sp.sp_index;
@@ -202,7 +208,7 @@ let run_spec ?(requests = default_requests)
       r_irq_drops = !drops;
       r_virq_lat = List.rev !virq_lat;
       r_req_lat = List.rev !req_lat;
-      r_clean = clean;
+      r_clean = !clean;
       r_digest = 0L;
     }
   in

@@ -141,6 +141,11 @@ val class_total : unit -> int
 val pp_view : Format.formatter -> view -> unit
 val render : view -> string
 
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s]: quote, backslash and
+    every control character escaped.  The one escaper every JSON writer
+    in the tree uses. *)
+
 val chrome_json : (string * view list) list -> string
 (** Chrome trace-event JSON ({"traceEvents": [...]} object format): one
     process per named stream, one thread lane per emitting CPU id, each

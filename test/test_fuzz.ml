@@ -260,37 +260,30 @@ let test_campaign_deterministic_and_clean () =
     0
     (Fuzz.Campaign.divergence_count a)
 
-(* --- superblock on/off equivalence across the full column matrix ------ *)
+(* --- pinned campaign across the full column matrix --------------------- *)
 
-(* The two interpreter engines must be observationally indistinguishable:
-   a fuzz campaign (all 8 columns per program, snapshot oracle included)
-   run with superblocks forced on and forced off must produce
-   byte-identical stats — same trap counts, coverage, and zero
-   divergences either way. *)
-let equivalence_seed = 11
-let equivalence_n = 60
+(* A fuzz campaign over every column, snapshot oracle included, hashed
+   whole: trap counts per column, coverage, cycles and findings.  Any
+   drift in what the interpreter executes or charges moves the digest,
+   which must not change without a documented reason. *)
+let pinned_seed = 11
+let pinned_n = 60
+let pinned_digest = "e94af304bb6c0220"
 
-let test_superblock_equivalence () =
-  let with_superblocks b f =
-    let saved = !Arm.Xlate.enabled in
-    Arm.Xlate.enabled := b;
-    Fun.protect ~finally:(fun () -> Arm.Xlate.enabled := saved) f
+let test_pinned_campaign () =
+  let stats =
+    Fuzz.Campaign.run ~snap_oracle:true ~seed:pinned_seed ~n:pinned_n ()
   in
-  let campaign () =
-    Fuzz.Campaign.run ~snap_oracle:true ~seed:equivalence_seed
-      ~n:equivalence_n ()
-  in
-  let on = with_superblocks true campaign in
-  let off = with_superblocks false campaign in
   check Alcotest.string
-    (Printf.sprintf "superblocks on == off, byte-identical stats (seed=%d)"
-       equivalence_seed)
-    (Fuzz.Campaign.json_stats off)
-    (Fuzz.Campaign.json_stats on);
+    (Printf.sprintf "campaign stats digest (seed=%d, n=%d)" pinned_seed
+       pinned_n)
+    pinned_digest
+    (Printf.sprintf "%016Lx"
+       (Shard.fnv1a_64 (Fuzz.Campaign.json_stats stats)));
   check Alcotest.int
-    (Printf.sprintf "no divergences either way (seed=%d)" equivalence_seed)
+    (Printf.sprintf "no divergences (seed=%d)" pinned_seed)
     0
-    (Fuzz.Campaign.divergence_count on + Fuzz.Campaign.divergence_count off)
+    (Fuzz.Campaign.divergence_count stats)
 
 (* --- OoH twin columns in the differential matrix ---------------------- *)
 
@@ -342,6 +335,6 @@ let suite =
       test_ooh_columns;
     Alcotest.test_case "campaign: deterministic and clean" `Slow
       test_campaign_deterministic_and_clean;
-    Alcotest.test_case "superblocks on == off across all columns" `Slow
-      test_superblock_equivalence;
+    Alcotest.test_case "pinned campaign digest across all columns" `Slow
+      test_pinned_campaign;
   ]

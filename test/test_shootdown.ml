@@ -121,14 +121,17 @@ let test_make_before_completion_is_flagged () =
 (* --- the regression this PR fixes --- *)
 
 let test_local_only_remap_leaves_remote_stale () =
-  (* pre-fix behavior: remap on vCPU 0 invalidates only vCPU 0's TLB, so
+  (* pre-fix behavior: remap on vCPU 0 rewrites the live entry and
+     invalidates only vCPU 0's TLB (no break, no broadcast, no DSB), so
      vCPU 1 keeps reading the old frame — and the checker sees it *)
   let m = nested Config.Hw_v8_3 in
   Machine.smp_map m ~cpu:0 ~ipa ~pa:pa0;
   (match Machine.smp_read m ~cpu:1 ~ipa with
    | Shootdown.Fresh pa -> check Alcotest.int64 "vCPU 1 caches pa0" pa0 pa
    | _ -> Alcotest.fail "expected fresh");
-  Machine.smp_remap ~broadcast:false m ~cpu:0 ~ipa ~pa:pa1;
+  let s = Machine.smp m in
+  Shootdown.map s ~ipa ~pa:pa1;
+  Shootdown.invalidate_cpu s ~cpu:0 (Shootdown.By_page ipa);
   (match Machine.smp_read m ~cpu:0 ~ipa with
    | Shootdown.Fresh pa -> check Alcotest.int64 "invoker sees pa1" pa1 pa
    | _ -> Alcotest.fail "invoker should see the new frame");
@@ -304,6 +307,15 @@ let test_serve_shard_determinism () =
   check Alcotest.string "shards 1 = shards 4" a b;
   check Alcotest.string "shards 1 = shards 8" a c
 
+(* Regression: the verdict used to be read from the machine left after
+   the last migration only.  Machine 16 of seed 1 (v8.3) breaks BBM in
+   an earlier segment and ends with a clean final segment. *)
+let test_serve_verdict_spans_migrations () =
+  let r = Serve.run_spec (Serve.spec_of ~seed:1 16) in
+  check Alcotest.bool "migrated at least once" true (r.Serve.r_migrations > 0);
+  check Alcotest.bool "pre-migration BBM violation reported" false
+    r.Serve.r_clean
+
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -384,6 +396,8 @@ let suite =
       test_percentiles_known_distributions;
     Alcotest.test_case "serve: byte-identical across shard counts" `Quick
       test_serve_shard_determinism;
+    Alcotest.test_case "serve: BBM verdict spans every migration segment"
+      `Quick test_serve_verdict_spans_migrations;
     Alcotest.test_case "serve: report shape and SLO sanity" `Quick
       test_serve_report_shape;
     Alcotest.test_case "smp fuzz: no findings on the baseline" `Quick
