@@ -49,27 +49,48 @@ type t = {
 
 and handler = t -> Exn.entry -> unit
 
-let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter () =
+(* Architectural and run state back to power-on: registers, PSTATE, the
+   system-register file, the GPR snapshot stack, the routing knobs and
+   the meter's counts; the decode cache is emptied in place (see
+   [Xlate.reset]).  What the CPU is wired to — memory, handlers, the
+   feature set, the meter's table and lane — and the decoded HCR, which
+   revalidates against HCR_EL2 on every read, stay. *)
+let reset t =
+  t.pc <- 0x8000_0000L;
+  Array.fill t.regs 0 (Array.length t.regs) 0L;
+  t.pstate <- Pstate.reset;
+  Sysreg_file.reset t.sysregs;
+  t.el1_vectors <- false;
+  t.saved_regs <- [];
+  t.nv2_mask <- Trap_rules.nv2_full;
+  t.expose <- Expose.Policy.none;
+  Cost.reset t.meter;
+  Xlate.reset t.xlate
+
+let create ?(features = Features.v Features.V8_0) ?table ?mem () =
   let mem = match mem with Some m -> m | None -> Memory.create () in
-  let meter = match meter with Some m -> m | None -> Cost.make_meter ?table () in
-  {
-    pc = 0x8000_0000L;
-    regs = Array.make 31 0L;
-    pstate = Pstate.reset;
-    sysregs = Sysreg_file.create ();
-    mem;
-    features;
-    meter;
-    el2_handler = None;
-    el1_handler = None;
-    el1_vectors = false;
-    saved_regs = [];
-    nv2_mask = Trap_rules.nv2_full;
-    expose = Expose.Policy.none;
-    hcr_raw = 0L;
-    hcr_cached = Hcr.decode 0L;
-    xlate = Xlate.create ();
-  }
+  let t =
+    {
+      pc = 0L;
+      regs = Array.make 31 0L;
+      pstate = Pstate.reset;
+      sysregs = Sysreg_file.create ();
+      mem;
+      features;
+      meter = Cost.make_meter ?table ();
+      el2_handler = None;
+      el1_handler = None;
+      el1_vectors = false;
+      saved_regs = [];
+      nv2_mask = Trap_rules.nv2_full;
+      expose = Expose.Policy.none;
+      hcr_raw = 0L;
+      hcr_cached = Hcr.decode 0L;
+      xlate = Xlate.create ();
+    }
+  in
+  reset t;
+  t
 
 let get_reg t n =
   if n < 0 || n > 30 then invalid_arg "Cpu.get_reg";

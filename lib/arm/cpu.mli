@@ -55,11 +55,18 @@ val create :
   ?features:Features.t ->
   ?table:Cost.table ->
   ?mem:Memory.t ->
-  ?meter:Cost.meter ->
   unit ->
   t
 (** A CPU at EL2 with reset state.  Pass [mem] to share physical memory
     between CPUs of one machine. *)
+
+val reset : t -> unit
+(** Back to {!create}'s state: PC, GPRs, PSTATE, the system-register
+    file, the GPR snapshot stack, [el1_vectors], [nv2_mask], [expose],
+    the meter's counts ({!Cost.reset}) and the decode cache
+    ({!Xlate.reset}, emptied in place).  Memory, handlers, [features]
+    (plan caches key on its physical identity), the meter's table and
+    lane, and the decoded-HCR cache are kept. *)
 
 val get_reg : t -> int -> int64
 val set_reg : t -> int -> int64 -> unit

@@ -17,11 +17,13 @@ type outcome =
   | Limit             (* instruction budget exhausted *)
   | Stopped           (* the [stop] predicate fired *)
 
-let pp_outcome ppf = function
-  | Halted a -> Fmt.pf ppf "halted at 0x%Lx" a
-  | Breakpoint -> Fmt.string ppf "breakpoint"
-  | Limit -> Fmt.string ppf "limit"
-  | Stopped -> Fmt.string ppf "stopped"
+let outcome_to_string = function
+  | Halted a -> Printf.sprintf "halted at 0x%Lx" a
+  | Breakpoint -> "breakpoint"
+  | Limit -> "limit"
+  | Stopped -> "stopped"
+
+let pp_outcome ppf o = Fmt.string ppf (outcome_to_string o)
 
 (* --- program memory (two A64 words per 64-bit memory word) --- *)
 
@@ -51,12 +53,29 @@ let store32 mem addr v =
    self, the canonical "parking" instruction). *)
 let halt_marker = Encode.encode (Insn.B 0)
 
-(* Load an encoded program at [base] and append the halt marker. *)
+(* Load an encoded program at [base] and append the halt marker.  Pairs
+   of words that fill an aligned 64-bit memory word are stored with one
+   write; a word sharing its memory word with untouched memory merges
+   through [store32]. *)
 let load mem ~base (words : int array) =
-  Array.iteri
-    (fun i w -> store32 mem (Int64.add base (Int64.of_int (i * 4))) w)
-    words;
-  store32 mem (Int64.add base (Int64.of_int (Array.length words * 4))) halt_marker
+  let n = Array.length words + 1 in
+  let word i = if i < n - 1 then words.(i) else halt_marker in
+  let addr i = Int64.add base (Int64.of_int (i * 4)) in
+  let i = ref 0 in
+  while !i < n do
+    let a = addr !i in
+    if Int64.logand a 7L = 0L && !i + 1 < n then begin
+      Memory.write64 mem a
+        (Int64.logor
+           (Int64.logand (Int64.of_int (word !i)) 0xffff_ffffL)
+           (Int64.shift_left (Int64.of_int (word (!i + 1))) 32));
+      i := !i + 2
+    end
+    else begin
+      store32 mem a (word !i);
+      incr i
+    end
+  done
 
 (* Assemble a program (encode each instruction) and load it. *)
 let load_program mem ~base insns =
@@ -100,7 +119,7 @@ let run ?on_step ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
   let outcome = step max_insns in
   if !Trace.on then
     Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:cpu.Cpu.pc
-      ~detail:(Fmt.str "%a" pp_outcome outcome) Trace.Run_end;
+      ~detail:(outcome_to_string outcome) Trace.Run_end;
   outcome
 
 (* Disassemble a range of memory, for debugging and the examples.  Goes

@@ -114,6 +114,19 @@ let page_offset addr = byte_index addr
 
 let unobserved t = Option.is_none t.on_write
 
+let nonzero_words t ~base ~count =
+  check_aligned base;
+  let acc = ref [] in
+  for i = count - 1 downto 0 do
+    let addr = Int64.add base (Int64.of_int (8 * i)) in
+    let p = find_page t (page_index addr) in
+    if p != no_page then begin
+      let v = get_word p (byte_index addr) in
+      if not (Int64.equal v 0L) then acc := (addr, v) :: !acc
+    end
+  done;
+  !acc
+
 let add_mmio_region t ~start ~len ~name =
   t.mmio <- (start, Int64.add start len, name) :: t.mmio
 
@@ -121,6 +134,16 @@ let mmio_region_of t addr =
   List.find_map
     (fun (lo, hi, name) -> if addr >= lo && addr < hi then Some name else None)
     t.mmio
+
+(* Back to a fresh memory's contents without giving up its pages: every
+   backed page is zeroed in place (an absent word and a stored zero read
+   identically, and [sorted_words] omits both), so a reused machine
+   allocates no pages.  The device regions and the write observer go
+   back to [create]'s none. *)
+let reset t =
+  Hashtbl.iter (fun _ p -> Bytes.fill p 0 page_bytes '\000') t.pages;
+  t.mmio <- [];
+  t.on_write <- None
 
 let clear t =
   Hashtbl.reset t.pages;

@@ -34,6 +34,12 @@ val write64 : t -> int64 -> int64 -> unit
     at {!page_offset}-relative offsets — see
     {!Sysreg_file.to_page}/{!Sysreg_file.of_page}). *)
 
+val nonzero_words : t -> base:int64 -> count:int -> (int64 * int64) list
+(** The nonzero words among the [count] consecutive words from [base],
+    as (address, value) in ascending address order.  Allocates only for
+    the nonzero words.
+    @raise Invalid_argument on an unaligned [base]. *)
+
 val page_of : t -> int64 -> Bytes.t
 (** The backed page holding [addr], or a zero-length [Bytes.t] when the
     page is unbacked (it reads as zero).  Creates nothing. *)
@@ -64,6 +70,11 @@ val sorted_words : t -> (int64 * int64) list
 val iter_nonzero : t -> (int64 -> int64 -> unit) -> unit
 (** Apply [f addr v] to every backed nonzero word, in no particular
     order (use {!sorted_words} for a canonical view). *)
+
+val reset : t -> unit
+(** Read exactly as a fresh {!create}: every backed page is zeroed in
+    place (kept, so reuse allocates nothing), device regions and the
+    write observer are dropped. *)
 
 val clear : t -> unit
 (** Drop all backed words (snapshot restore). *)

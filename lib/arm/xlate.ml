@@ -14,13 +14,34 @@ type t = {
      (fetches mask to 32 bits) *)
   dec_keys : int array;
   dec_vals : Encode.decoded array;
+  (* slots filled since the last [reset], so emptying costs a write per
+     filled slot rather than a sweep of the table *)
+  filled : int array;
+  mutable nfilled : int;
 }
+
+let empty = Encode.D_unknown 0
 
 let create () =
   {
     dec_keys = Array.make decode_size (-1);
-    dec_vals = Array.make decode_size (Encode.D_unknown 0);
+    dec_vals = Array.make decode_size empty;
+    filled = Array.make decode_size 0;
+    nfilled = 0;
   }
+
+(* Empty the cache in place.  A reused machine's CPU calls this on
+   reset: entries kept warm across runs live in an old table, so each
+   new decoded word is promoted into the major heap and becomes garbage
+   when evicted — with fuzz programs, whose words rarely repeat, that
+   was most of what the major heap grew by. *)
+let reset t =
+  for k = 0 to t.nfilled - 1 do
+    let slot = t.filled.(k) in
+    t.dec_keys.(slot) <- -1;
+    t.dec_vals.(slot) <- empty
+  done;
+  t.nfilled <- 0
 
 let decode_cache_size = decode_size
 
@@ -29,6 +50,10 @@ let decode t w =
   if Array.unsafe_get t.dec_keys slot = w then Array.unsafe_get t.dec_vals slot
   else begin
     let d = Encode.decode w in
+    if t.dec_keys.(slot) = -1 then begin
+      t.filled.(t.nfilled) <- slot;
+      t.nfilled <- t.nfilled + 1
+    end;
     t.dec_keys.(slot) <- w;
     t.dec_vals.(slot) <- d;
     d

@@ -9,6 +9,10 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empty the cache in place: a write per slot filled since the last
+    reset, nothing allocated. *)
+
 val decode : t -> int -> Encode.decoded
 (** {!Encode.decode} through the per-CPU direct-mapped cache keyed by
     the instruction word (sound because decode is pure). *)

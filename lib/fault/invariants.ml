@@ -45,6 +45,12 @@ type state = {
   mutable seen_mem : int;
 }
 
+let state_reset s =
+  s.seen_cycles <- 0;
+  s.seen_insns <- 0;
+  s.seen_traps <- 0;
+  s.seen_mem <- 0
+
 let state () = { seen_cycles = 0; seen_insns = 0; seen_traps = 0; seen_mem = 0 }
 
 let state_dump s = [| s.seen_cycles; s.seen_insns; s.seen_traps; s.seen_mem |]

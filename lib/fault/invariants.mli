@@ -28,6 +28,9 @@ type state
 
 val state : unit -> state
 
+val state_reset : state -> unit
+(** Every watermark back to {!state}'s zero. *)
+
 val state_dump : state -> int array
 (** The watermark counters in a fixed order, for checkpoint/restore. *)
 

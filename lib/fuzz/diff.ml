@@ -1,9 +1,12 @@
 (* Differential driver: one program, every mechanism, one answer.
 
    The run protocol is the same for every column:
-   - a fresh single-CPU nested machine, guest hypervisor started in
-     virtual EL2 (Machine.boot is NOT used: boot erets into the nested
-     VM, and the fuzzer's programs *are* the guest hypervisor);
+   - the calling domain's single-CPU nested machine for the column, in
+     the state Machine.create returned (each run ends with
+     Machine.reset, which keeps the compiled host exit plans and funnel
+     sequences warm), guest hypervisor started in virtual EL2
+     (Machine.boot is NOT used: boot erets into the nested VM, and the
+     fuzzer's programs *are* the guest hypervisor);
    - x28 holds the shared-page base in every column (the paravirt
      binary-patching convention — harmless where unused);
    - paravirtualized columns run the binary-patched text, hardware
@@ -86,12 +89,12 @@ type obs = {
   ob_error : string option;
   ob_outcome : string;
   ob_pc : int64;
-  ob_pstate : string;
+  ob_pstate : Pstate.t;
   ob_in_vel2 : bool;
   ob_regs : int64 array;
-  ob_vel2 : (string * int64) list;
-  ob_vel1 : (string * int64) list;
-  ob_mem : (int * int64) list;
+  ob_vel2 : Bytes.t;
+  ob_vel1 : Bytes.t;
+  ob_mem : Bytes.t;
   ob_traps : int;
   ob_cycles : int;
   ob_ctx : Fault.Error.context option;
@@ -103,36 +106,106 @@ let empty_obs =
     ob_error = None;
     ob_outcome = "";
     ob_pc = 0L;
-    ob_pstate = "";
+    ob_pstate = Pstate.reset;
     ob_in_vel2 = false;
     ob_regs = [||];
-    ob_vel2 = [];
-    ob_vel1 = [];
-    ob_mem = [];
+    ob_vel2 = Bytes.empty;
+    ob_vel1 = Bytes.empty;
+    ob_mem = Bytes.empty;
     ob_traps = 0;
     ob_cycles = 0;
     ob_ctx = None;
     ob_events = [];
   }
 
-let file_obs (file : Sysreg_file.t) =
-  List.filter_map
-    (fun r ->
-      let v = Sysreg_file.read file r in
-      if v <> Sysreg_file.reset_value r then Some (Sysreg.name r, v)
-      else None)
-    Sysreg.all
+(* Observations are sparse and flat: packed 16-byte (key, value)
+   records, in canonical order, for the entries that differ from their
+   default — a register not at its reset value, a nonzero memory word.
+   Almost everything is at its default (per column, about 1.4 of 308
+   virtual registers and 0.1 of 256 scratch words), so an observation is
+   a few words, copied out before the machine is reset under it.  Two
+   observations agree exactly when their bytes do; names and strings are
+   built only when a divergence is reported. *)
+let record_bytes = 16
 
-let mem_obs mem =
-  let words = Gen.scratch_len / 8 in
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let addr = Int64.of_int (Gen.scratch_base + (8 * i)) in
-      let v = Memory.read64 mem addr in
-      go (i - 1) (if v = 0L then acc else (Gen.scratch_base + (8 * i), v) :: acc)
+let set_record b k ~key ~value =
+  Bytes.set_int64_ne b (record_bytes * k) key;
+  Bytes.set_int64_ne b ((record_bytes * k) + 8) value
+
+let record_key b k = Bytes.get_int64_ne b (record_bytes * k)
+let record_value b k = Bytes.get_int64_ne b ((record_bytes * k) + 8)
+let record_count b = Bytes.length b / record_bytes
+
+(* A file's registers keyed by dense index, in [Sysreg.all] order. *)
+let all_indices = Array.of_list (List.map Sysreg.index Sysreg.all)
+
+let reset_values =
+  Array.map (fun i -> Sysreg_file.reset_value (Sysreg.of_index i)) all_indices
+
+let file_obs (file : Sysreg_file.t) =
+  let at_reset k =
+    Sysreg_file.index_equals file all_indices.(k) reset_values.(k)
   in
-  go (words - 1) []
+  let n = ref 0 in
+  for k = 0 to Array.length all_indices - 1 do
+    if not (at_reset k) then incr n
+  done;
+  let b = Bytes.create (record_bytes * !n) in
+  let j = ref 0 in
+  for k = 0 to Array.length all_indices - 1 do
+    if not (at_reset k) then begin
+      let i = all_indices.(k) in
+      set_record b !j ~key:(Int64.of_int i) ~value:(Sysreg_file.get_index file i);
+      incr j
+    end
+  done;
+  b
+
+(* The scratch window's nonzero words keyed by address. *)
+let mem_obs mem =
+  let words =
+    Memory.nonzero_words mem ~base:(Int64.of_int Gen.scratch_base)
+      ~count:(Gen.scratch_len / 8)
+  in
+  let b = Bytes.create (record_bytes * List.length words) in
+  List.iteri (fun j (addr, v) -> set_record b j ~key:addr ~value:v) words;
+  b
+
+(* --- the calling domain's column machines ---
+
+   One machine per (configuration, grant), created on first use and
+   reset after every run, so a campaign builds each column's machine
+   once per domain instead of once per program.  Domain-local, so
+   sharded oracle runs never share a machine. *)
+
+type pooled = { p_config : Config.t; p_expose : Expose.Policy.t; p_m : Machine.t }
+
+let pool_key : pooled list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let column_machine ?(expose = Expose.Policy.none) config =
+  let pool = Domain.DLS.get pool_key in
+  let rec find = function
+    | [] ->
+      let m = Machine.create ~ncpus:1 ~expose config Host_hyp.Nested in
+      pool := { p_config = config; p_expose = expose; p_m = m } :: !pool;
+      m
+    | p :: tl ->
+      if p.p_config = config && Expose.Policy.equal p.p_expose expose then
+        p.p_m
+      else find tl
+  in
+  find !pool
+
+(* Run [f] on the column's machine, which is in its creation state, and
+   reset it once [f] is done, however [f] ends.  Resetting after the run
+   rather than before it leaves every idle machine holding nothing the
+   run allocated: a minor collection then promotes only the running
+   column's state, not eleven idle columns' leftovers, which would pile
+   up as major-heap garbage. *)
+let on_column_machine ~expose config f =
+  let m = column_machine ~expose config in
+  Fun.protect ~finally:(fun () -> Machine.reset m) (fun () -> f m)
 
 let run_column ?(traced = false) ?(expose = Expose.Policy.none) ~budget
     config words =
@@ -149,7 +222,7 @@ let run_column ?(traced = false) ?(expose = Expose.Policy.none) ~budget
       obs
     end
   in
-  let m = Machine.create ~ncpus:1 ~expose config Host_hyp.Nested in
+  on_column_machine ~expose config @@ fun m ->
   let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
   try
     Host_hyp.start_guest_hypervisor host;
@@ -170,7 +243,7 @@ let run_column ?(traced = false) ?(expose = Expose.Policy.none) ~budget
     let outcome = Interp.run cpu ~stop ~entry:text_base ~max_insns:budget in
     (* where/how the program stopped, before the fold moves the PC *)
     let pc = cpu.Cpu.pc in
-    let pstate = Fmt.str "%a" Pstate.pp cpu.Cpu.pstate in
+    let pstate = cpu.Cpu.pstate in
     let in_vel2 = host.Host_hyp.vcpu.Vcpu.in_vel2 in
     (* fold: a final eret (trapped / rewritten) makes the virtual files
        authoritative under every mechanism *)
@@ -178,11 +251,11 @@ let run_column ?(traced = false) ?(expose = Expose.Policy.none) ~budget
     finish
       {
         empty_obs with
-        ob_outcome = Fmt.str "%a" Interp.pp_outcome outcome;
+        ob_outcome = Interp.outcome_to_string outcome;
         ob_pc = pc;
         ob_pstate = pstate;
         ob_in_vel2 = in_vel2;
-        ob_regs = Array.init 31 (Cpu.get_reg cpu);
+        ob_regs = Array.copy cpu.Cpu.regs;
         ob_vel2 = file_obs host.Host_hyp.vcpu.Vcpu.vel2;
         ob_vel1 = file_obs host.Host_hyp.vcpu.Vcpu.vel1;
         ob_mem = mem_obs m.Machine.mem;
@@ -202,8 +275,9 @@ let run_column ?(traced = false) ?(expose = Expose.Policy.none) ~budget
 
 (* The ninth column: snapshot-at-k / restore / resume.  The same program
    under the same configuration, but executed as two segments with a
-   serialization boundary between them: run [at] instructions, save the
-   whole machine through Snap, restore into a fresh machine and resume
+   serialization boundary between them: run [at] instructions on the
+   column's machine, save the whole machine through Snap, restore
+   into a fresh machine (Snap.restore builds one) and resume
    there until the normal stopping condition.  Every architectural
    observation — and the trap count — must be bit-identical to the
    uninterrupted run; anything the snapshot fails to carry (an undrained
@@ -211,7 +285,7 @@ let run_column ?(traced = false) ?(expose = Expose.Policy.none) ~budget
    as an ordinary fuzz divergence. *)
 let run_column_snapshot ?(expose = Expose.Policy.none) ~budget ~at config
     words =
-  let m = Machine.create ~ncpus:1 ~expose config Host_hyp.Nested in
+  on_column_machine ~expose config @@ fun m ->
   let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
   let traps_now = ref (fun () -> cpu.Cpu.meter.Cost.traps) in
   let cycles_now = ref (fun () -> cpu.Cpu.meter.Cost.cycles) in
@@ -245,16 +319,16 @@ let run_column_snapshot ?(expose = Expose.Policy.none) ~budget ~at config
         ~max_insns:(budget - !steps)
     in
     let pc = cpu'.Cpu.pc in
-    let pstate = Fmt.str "%a" Pstate.pp cpu'.Cpu.pstate in
+    let pstate = cpu'.Cpu.pstate in
     let in_vel2 = host'.Host_hyp.vcpu.Vcpu.in_vel2 in
     if in_vel2 then Gaccess.eret (Gaccess.v cpu' config ~page_base);
     {
       empty_obs with
-      ob_outcome = Fmt.str "%a" Interp.pp_outcome outcome;
+      ob_outcome = Interp.outcome_to_string outcome;
       ob_pc = pc;
       ob_pstate = pstate;
       ob_in_vel2 = in_vel2;
-      ob_regs = Array.init 31 (Cpu.get_reg cpu');
+      ob_regs = Array.copy cpu'.Cpu.regs;
       ob_vel2 = file_obs host'.Host_hyp.vcpu.Vcpu.vel2;
       ob_vel1 = file_obs host'.Host_hyp.vcpu.Vcpu.vel1;
       ob_mem = mem_obs m'.Machine.mem;
@@ -273,23 +347,36 @@ let run_column_snapshot ?(expose = Expose.Policy.none) ~budget ~at config
 
 (* --- comparison --- *)
 
-let pp_named ppf (n, v) = Fmt.pf ppf "%s=0x%Lx" n v
+(* The first position at which two record sequences differ, as "ref
+   has X, column has Y" ("<absent>" past a sequence's end): the first
+   mismatch of the two lists of non-default entries. *)
+let first_record_diff show a b =
+  if Bytes.equal a b then None
+  else begin
+    let na = record_count a and nb = record_count b in
+    let rec first k =
+      if
+        k < na && k < nb
+        && Int64.equal (record_key a k) (record_key b k)
+        && Int64.equal (record_value a k) (record_value b k)
+      then first (k + 1)
+      else k
+    in
+    let k = first 0 in
+    let entry r n =
+      if k < n then show (record_key r k) (record_value r k) else "<absent>"
+    in
+    Some (Printf.sprintf "ref has %s, column has %s" (entry a na) (entry b nb))
+  end
 
-let first_list_diff pp a b =
-  (* both lists are in the same canonical order; report the first
-     element present or differing on one side only *)
-  let rec go a b =
-    match (a, b) with
-    | [], [] -> None
-    | x :: a', y :: b' when x = y -> go a' b'
-    | _ ->
-      let show = function
-        | [] -> "<absent>"
-        | x :: _ -> Fmt.str "%a" pp x
-      in
-      Some (Printf.sprintf "ref has %s, column has %s" (show a) (show b))
-  in
-  go a b
+let file_diff =
+  first_record_diff (fun i v ->
+      Printf.sprintf "%s=0x%Lx" (Sysreg.name (Sysreg.of_index (Int64.to_int i))) v)
+
+let mem_diff =
+  first_record_diff (fun a v -> Printf.sprintf "[0x%Lx]=0x%Lx" a v)
+
+let pstate_string p = Fmt.str "%a" Pstate.pp p
 
 let diff_obs (ref_o : obs) (o : obs) : (string * string) list =
   match (ref_o.ob_error, o.ob_error) with
@@ -306,9 +393,11 @@ let diff_obs (ref_o : obs) (o : obs) : (string * string) list =
         (Printf.sprintf "ref %s, column %s" ref_o.ob_outcome o.ob_outcome);
     if ref_o.ob_pc <> o.ob_pc then
       add "pc" (Printf.sprintf "ref 0x%Lx, column 0x%Lx" ref_o.ob_pc o.ob_pc);
-    if ref_o.ob_pstate <> o.ob_pstate then
-      add "pstate"
-        (Printf.sprintf "ref %s, column %s" ref_o.ob_pstate o.ob_pstate);
+    (* PSTATE compares as rendered (the rendering omits NZCV) *)
+    if ref_o.ob_pstate <> o.ob_pstate then begin
+      let a = pstate_string ref_o.ob_pstate and b = pstate_string o.ob_pstate in
+      if a <> b then add "pstate" (Printf.sprintf "ref %s, column %s" a b)
+    end;
     if ref_o.ob_in_vel2 <> o.ob_in_vel2 then
       add "in-vel2"
         (Printf.sprintf "ref %b, column %b" ref_o.ob_in_vel2 o.ob_in_vel2);
@@ -319,17 +408,13 @@ let diff_obs (ref_o : obs) (o : obs) : (string * string) list =
             (Printf.sprintf "x%d" i)
             (Printf.sprintf "ref 0x%Lx, column 0x%Lx" v o.ob_regs.(i)))
       ref_o.ob_regs;
-    (match first_list_diff pp_named ref_o.ob_vel2 o.ob_vel2 with
+    (match file_diff ref_o.ob_vel2 o.ob_vel2 with
      | Some d -> add "vel2-file" d
      | None -> ());
-    (match first_list_diff pp_named ref_o.ob_vel1 o.ob_vel1 with
+    (match file_diff ref_o.ob_vel1 o.ob_vel1 with
      | Some d -> add "vel1-file" d
      | None -> ());
-    (match
-       first_list_diff
-         (fun ppf (a, v) -> Fmt.pf ppf "[0x%x]=0x%Lx" a v)
-         ref_o.ob_mem o.ob_mem
-     with
+    (match mem_diff ref_o.ob_mem o.ob_mem with
      | Some d -> add "scratch-memory" d
      | None -> ());
     List.rev !acc

@@ -40,18 +40,29 @@ val text_base : int64
 val budget_for : int array -> int
 (** Instruction budget for a program of this many words. *)
 
-(** What the oracle sees of one column after a run. *)
+(** What the oracle sees of one column after a run.  The architectural
+    fields are flat copies taken before the column's machine is reused;
+    names and rendered text are produced only for a reported
+    divergence. *)
 type obs = {
   ob_error : string option;
       (** an escaped exception — compared like any other outcome *)
   ob_outcome : string;   (** interpreter exit class *)
   ob_pc : int64;         (** PC when the program stopped (pre-fold) *)
-  ob_pstate : string;    (** PSTATE/EL when the program stopped *)
+  ob_pstate : Arm.Pstate.t;
+      (** PSTATE/EL when the program stopped; compared as
+          {!Arm.Pstate.pp} renders it *)
   ob_in_vel2 : bool;
   ob_regs : int64 array; (** x0..x30 *)
-  ob_vel2 : (string * int64) list;  (** non-reset virtual EL2 registers *)
-  ob_vel1 : (string * int64) list;  (** non-reset virtual EL1 registers *)
-  ob_mem : (int * int64) list;      (** non-zero scratch words *)
+  ob_vel2 : Bytes.t;
+      (** the virtual EL2 registers not at their reset value, in
+          {!Arm.Sysreg.all} order, as packed 16-byte records: the dense
+          {!Arm.Sysreg.index} then the value, each a native-order
+          int64 *)
+  ob_vel1 : Bytes.t;     (** the virtual EL1 file, likewise *)
+  ob_mem : Bytes.t;
+      (** the nonzero scratch words in address order, as packed 16-byte
+          (address, value) records *)
   ob_traps : int;
   ob_cycles : int;
       (** modeled cycles the column's meter accumulated; feeds the
@@ -62,6 +73,14 @@ type obs = {
           when [traced] was set, empty otherwise *)
 }
 
+val column_machine : ?expose:Expose.Policy.t -> Hyp.Config.t -> Hyp.Machine.t
+(** The calling domain's machine for a column (configuration and grant),
+    created on first use.  {!run_column} and {!run_column_snapshot} run
+    on it and reset it ({!Hyp.Machine.reset}) when they return or raise,
+    so between runs it is in its creation state with its compiled caches
+    warm, and each domain builds a column's machine once.  Exposed so
+    tests can inspect those caches. *)
+
 val run_column :
   ?traced:bool ->
   ?expose:Expose.Policy.t ->
@@ -69,8 +88,9 @@ val run_column :
   Hyp.Config.t ->
   int array ->
   obs
-(** Run one encoded program under one configuration: fresh machine,
-    guest hypervisor started in virtual EL2, text binary-patched for
+(** Run one encoded program under one configuration: the column's
+    machine ({!column_machine}) in its creation state, guest
+    hypervisor started in virtual EL2, text binary-patched for
     paravirtualized columns, and a final (trapped) [eret] folding the
     execution mapping and the deferred page back into the virtual files
     so every mechanism's state is compared from the same vantage.
@@ -86,11 +106,12 @@ val run_column_snapshot :
   int array ->
   obs
 (** Like {!run_column}, but executed as two segments with a
-    serialization boundary between them: run [at] instructions, save the
-    machine through [Snap], restore into a fresh machine, resume there
-    to the normal stopping condition, and observe the restored machine.
-    A correct snapshot subsystem makes this observation — including the
-    trap count — bit-identical to the uninterrupted run. *)
+    serialization boundary between them: run [at] instructions on the
+    column's machine, save the machine through [Snap], restore into
+    a fresh machine, resume there to the normal stopping condition, and
+    observe the restored machine.  A correct snapshot subsystem makes
+    this observation — including the trap count — bit-identical to the
+    uninterrupted run. *)
 
 type divergence = {
   dv_group : string;

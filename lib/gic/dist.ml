@@ -9,8 +9,16 @@ type irq_record = {
   mutable target : int;    (* CPU for SPIs *)
 }
 
+let clear_record r =
+  r.state <- Irq.Inactive;
+  r.enabled <- false;
+  r.priority <- 0xa0;
+  r.target <- 0
+
 let fresh_record () =
-  { state = Irq.Inactive; enabled = false; priority = 0xa0; target = 0 }
+  let r = { state = Irq.Inactive; enabled = false; priority = 0; target = 0 } in
+  clear_record r;
+  r
 
 (* Fault-injection verdict for one raised interrupt. *)
 type disposition = Deliver | Drop | Duplicate
@@ -34,6 +42,24 @@ let create ~ncpus =
     enabled = true;
     inject = None;
   }
+
+(* Every record back to absent (Hashtbl.reset, not clear: a table that
+   grew shrinks to its creation size, so iteration order — which breaks
+   priority ties in [best_pending] — is a fresh table's).  The injection
+   hook is wiring and stays. *)
+let reset t =
+  Hashtbl.reset t.banked;
+  Hashtbl.reset t.shared;
+  t.enabled <- true
+
+let record_count t = Hashtbl.length t.banked + Hashtbl.length t.shared
+
+(* Every record back to [fresh_record]'s values, in place: the tables
+   keep their keys and their iteration order. *)
+let clear_records t =
+  Hashtbl.iter (fun _ r -> clear_record r) t.banked;
+  Hashtbl.iter (fun _ r -> clear_record r) t.shared;
+  t.enabled <- true
 
 let record t ~cpu ~intid =
   if intid < 32 then begin

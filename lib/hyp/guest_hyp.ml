@@ -52,22 +52,41 @@ type t = {
 (* The vEL2 vector base the L0 hypervisor jumps to on injection; symbolic. *)
 let vector_base = 0x7000_0000L
 
+(* The state a guest hypervisor boots with.  The device backend is
+   wiring, and the access funnel's compiled sequences are a cache
+   validated against the routing state, so both stay; an armed one-shot
+   corruption does not. *)
+let reset t =
+  t.used_lrs <- 0;
+  t.cntvoff <- 0x1000L;
+  Queue.clear t.pending_virqs;
+  t.nested_elr <- 0x9000_0000L;
+  t.nested_spsr <- Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1);
+  t.exits_handled <- 0;
+  t.debug_active <- false;
+  t.pmu_active <- false;
+  t.ga.Gaccess.tamper <- None
+
 let create (ga : Gaccess.t) ~(vcpu : Vcpu.t) =
-  {
-    ga;
-    vhe = ga.Gaccess.config.Config.guest_vhe;
-    vm_ctx = vcpu.Vcpu.ctx_base;
-    host_ctx = Int64.add vcpu.Vcpu.ctx_base 0x2000L;
-    used_lrs = 0;
-    cntvoff = 0x1000L;
-    pending_virqs = Queue.create ();
-    nested_elr = 0x9000_0000L;
-    nested_spsr = Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1);
-    exits_handled = 0;
-    debug_active = false;
-    pmu_active = false;
-    on_mmio = None;
-  }
+  let t =
+    {
+      ga;
+      vhe = ga.Gaccess.config.Config.guest_vhe;
+      vm_ctx = vcpu.Vcpu.ctx_base;
+      host_ctx = Int64.add vcpu.Vcpu.ctx_base 0x2000L;
+      used_lrs = 0;
+      cntvoff = 0L;
+      pending_virqs = Queue.create ();
+      nested_elr = 0L;
+      nested_spsr = 0L;
+      exits_handled = 0;
+      debug_active = false;
+      pmu_active = false;
+      on_mmio = None;
+    }
+  in
+  reset t;
+  t
 
 let ops t = Gaccess.ops t.ga
 

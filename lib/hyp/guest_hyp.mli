@@ -42,6 +42,11 @@ val vector_base : int64
 
 val create : Gaccess.t -> vcpu:Vcpu.t -> t
 
+val reset : t -> unit
+(** Back to {!create}'s state: counters, pending interrupts, the nested
+    VM's resume point and the funnel's one-shot [tamper].  [on_mmio] and
+    the funnel's compiled sequences are kept. *)
+
 val nested_hcr : int64
 (** The HCR value the guest hypervisor programs for its nested VM. *)
 

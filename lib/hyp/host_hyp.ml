@@ -1262,6 +1262,24 @@ let drain_ungranted =
 let no_drain = Core.Deferred_page.slots (fun _ -> false)
 
 
+(* The run state a new host starts with.  The wiring (the exit hook, the
+   IPI sender) and the compiled exit plans stay: a plan is a function of
+   the (HCR, features) pair it was compiled under and of the fixed
+   context addresses, none of which a reset changes. *)
+let reset t =
+  Vcpu.reset t.vcpu;
+  t.shadow_vttbr <- 0x6000_0000L;
+  t.in_l1 <- false;
+  t.exits <- 0;
+  t.undef_injected <- 0;
+  t.pending_vserror <- None;
+  t.serror_contained <- 0;
+  t.serror_injected <- 0;
+  t.pending_irq <- None;
+  t.shadow <- None;
+  t.l2_is_hyp <- false;
+  t.l2_vncr <- None
+
 let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
   let vcpu = Vcpu.create ~id in
   let page = Core.Deferred_page.create cpu.Cpu.mem ~base:vcpu.Vcpu.page_base in
@@ -1280,7 +1298,7 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
       page;
       l0_ctx;
       guest_stash;
-      shadow_vttbr = 0x6000_0000L;
+      shadow_vttbr = 0L;
       on_vel2_entry = None;
       in_l1 = false;
       exits = 0;
@@ -1304,6 +1322,7 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
          else Core.Deferred_page.slots (drain_keeps config expose));
     }
   in
+  reset t;
   cpu.Cpu.el2_handler <- Some (fun cpu e -> handler t cpu e);
   cpu.Cpu.features <- Config.hw_features config;
   t

@@ -158,6 +158,14 @@ val create :
     hypervisor is in virtual EL2, with the hardware state folded back
     into the virtual-EL2 file on the trapped eret. *)
 
+val reset : t -> unit
+(** Back to {!create}'s run state: the vCPU ({!Vcpu.reset}) and every
+    mutable counter, pending event and nested-VM field.  The hooks
+    ([on_vel2_entry], [send_ipi]) and the compiled exit plans
+    ([l0_plans], [l0_cur]) are kept.  The CPU is not touched: reset it
+    with {!Cpu.reset}, which keeps the feature record the plans were
+    compiled against. *)
+
 val start_guest_hypervisor : t -> unit
 (** Put the machine in "guest hypervisor running in virtual EL2" state,
     ready for the first nested launch. *)

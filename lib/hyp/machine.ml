@@ -114,6 +114,37 @@ let deliver_filtered t ~cpu ~intid =
     once ()
   | _ -> once ()
 
+let sgi_count = 16
+
+(* The machine-level values [create] sets once its parts exist, and
+   [reset] sets again after resetting the parts. *)
+let init t =
+  Array.iteri
+    (fun i cpu ->
+      (* stamp the meter with its CPU id so every trace event this core
+         emits lands on its own Chrome lane *)
+      cpu.Cpu.meter.Cost.tid <- i;
+      if t.checking then Cost.set_logging cpu.Cpu.meter true;
+      (* machine guests have EL1 exception vectors: an injected or
+         architectural UNDEF lands there instead of tearing the process
+         down *)
+      cpu.Cpu.el1_vectors <- true)
+    t.cpus;
+  (* distributor records default to disabled; the SGIs guests can encode
+     (intid 0..15) must be enabled per CPU or every IPI would stall
+     pending *)
+  for cpu = 0 to ncpus t - 1 do
+    for intid = 0 to sgi_count - 1 do
+      Gic.Dist.enable t.dist ~cpu ~intid
+    done
+  done;
+  Array.iter Fault.Invariants.state_reset t.inv_states;
+  t.violations <- [];
+  t.violation_count <- 0;
+  Array.fill t.irq_fault 0 (ncpus t) None;
+  Array.fill t.hung 0 (ncpus t) false;
+  t.smp <- None
+
 let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
     ?(expose = Expose.Policy.none) config scenario =
   (* Reject impossible shapes before any allocation: a non-positive count
@@ -133,17 +164,7 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
             ncpus Vcpu.max_vcpus Vcpu.vcpu_region_size Vcpu.vcpu_region_base
             Vcpu.vcpu_region_limit));
   let mem = Arm.Memory.create () in
-  let cpus =
-    Array.init ncpus (fun i ->
-        let cpu = Cpu.create ~mem ?table () in
-        (* stamp the meter with its CPU id so every trace event this
-           core emits lands on its own Chrome lane *)
-        cpu.Cpu.meter.Cost.tid <- i;
-        cpu)
-  in
-  (* machine guests have EL1 exception vectors: an injected or
-     architectural UNDEF lands there instead of tearing the process down *)
-  Array.iter (fun c -> c.Cpu.el1_vectors <- true) cpus;
+  let cpus = Array.init ncpus (fun _ -> Cpu.create ~mem ?table ()) in
   let hosts =
     Array.mapi
       (fun i cpu -> Host_hyp.create ~id:i ~expose cpu config scenario)
@@ -166,14 +187,6 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
   in
   let checking = check_invariants || fault_plan <> None in
   let dist = Gic.Dist.create ~ncpus in
-  (* distributor records default to disabled; the SGIs guests can encode
-     (intid 0..15) must be enabled per CPU or every IPI would stall
-     pending *)
-  for cpu = 0 to ncpus - 1 do
-    for intid = 0 to 15 do
-      Gic.Dist.enable dist ~cpu ~intid
-    done
-  done;
   let t =
     {
       mem;
@@ -194,6 +207,7 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
       smp = None;
     }
   in
+  init t;
   if checking then
     (* run the invariant checker around every EL2 exception: entry checks
        before the host handler, steady-state + monotonicity + VNCR sync
@@ -201,7 +215,6 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
        "after every exception entry/return" the checker wants) *)
     Array.iteri
       (fun i cpu ->
-        Cost.set_logging cpu.Cpu.meter true;
         match cpu.Cpu.el2_handler with
         | None -> ()
         | Some inner ->
@@ -251,6 +264,27 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
             end))
     hosts;
   t
+
+(* Back to the state [create] returned, keeping every allocation:
+   memory pages are zeroed in place, register files, meters and decode
+   caches reset, and the host exit plans and the funnel's compiled
+   sequences stay warm.  The wiring [create] installed (handlers,
+   hooks, the IPI path) is untouched.  A fault plan is the one part
+   [create] does not build: its schedule and PRNG are consumed by the
+   run, so a machine carrying one is refused. *)
+let reset t =
+  if t.fault <> None then
+    invalid_arg "Machine.reset: a machine with a fault plan cannot be reset";
+  Arm.Memory.reset t.mem;
+  Array.iter Cpu.reset t.cpus;
+  Array.iter Host_hyp.reset t.hosts;
+  Array.iter (Option.iter Guest_hyp.reset) t.ghyps;
+  (* records are only ever added, so a count still at [init]'s SGIs means
+     the run created none: clear those in place, keeping their order *)
+  if Gic.Dist.record_count t.dist = sgi_count * ncpus t then
+    Gic.Dist.clear_records t.dist
+  else Gic.Dist.reset t.dist;
+  init t
 
 (* Bring the stack up: plain VM scenarios just start the VM; nested
    scenarios start the guest hypervisor and have it launch its nested VM

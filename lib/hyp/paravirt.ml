@@ -91,16 +91,21 @@ let op_name = function
   | Op_eret -> "eret"
   | Op_invalid n -> Printf.sprintf "invalid#%d" n
 
-(* What would the target architecture do with this instruction, executed at
-   EL1 by the guest hypervisor?  [page_base] is the shared memory region
-   standing in for the deferred access page. *)
-let target_route (config : Config.t) ~page_base insn =
+(* [target_route] with the target's routing inputs (feature set, HCR
+   view, VNCR) resolved once, for loops that route many instructions
+   under one config. *)
+let target_router (config : Config.t) ~page_base =
   let features = Config.target_features config in
   let hcr = Arm.Hcr.decode (Config.target_hcr config) in
   let vncr =
     if Config.is_neve config then Int64.logor page_base 1L else 0L
   in
-  Trap_rules.route features ~hcr ~vncr ~el:Arm.Pstate.EL1 insn
+  fun insn -> Trap_rules.route features ~hcr ~vncr ~el:Arm.Pstate.EL1 insn
+
+(* What would the target architecture do with this instruction, executed at
+   EL1 by the guest hypervisor?  [page_base] is the shared memory region
+   standing in for the deferred access page. *)
+let target_route config ~page_base insn = target_router config ~page_base insn
 
 (* The value-carrying scratch register used when a write's operand is an
    immediate and must be materialized for the hvc protocol. *)
@@ -173,11 +178,11 @@ let rewrite (config : Config.t) ~page_base (insn : Insn.t) : Insn.t list =
 
 let page_base_reg = 28
 
-let patch_word (config : Config.t) ~page_base (w : int) : int =
+let patch_routed route ~page_base (w : int) : int =
   match Arm.Encode.decode w with
   | Arm.Encode.D_unknown _ -> w
   | Arm.Encode.D_insn insn -> begin
-      match target_route config ~page_base insn with
+      match route insn with
       | Trap_rules.Execute | Trap_rules.Execute_exposed _ -> w
       | Trap_rules.Execute_redirected target -> begin
           match insn with
@@ -214,8 +219,12 @@ let patch_word (config : Config.t) ~page_base (w : int) : int =
       | Trap_rules.Undef -> w
     end
 
+let patch_word config ~page_base w =
+  patch_routed (target_router config ~page_base) ~page_base w
+
 let patch_text config ~page_base words =
-  let out = Array.map (patch_word config ~page_base) words in
+  let route = target_router config ~page_base in
+  let out = Array.map (patch_routed route ~page_base) words in
   if !Trace.on then begin
     let changed = ref 0 in
     Array.iteri (fun i w -> if w <> out.(i) then incr changed) words;

@@ -43,19 +43,31 @@ type t = {
 
 let region_of id = Int64.add vcpu_region_base (Int64.mul (Int64.of_int id) vcpu_region_size)
 
+(* The run state a new vCPU starts with; the regions are fixed. *)
+let reset t =
+  Sysreg_file.reset t.vel1;
+  Sysreg_file.reset t.vel2;
+  t.in_vel2 <- false;
+  t.nested_launched <- false;
+  t.used_lrs <- 0
+
 let create ~id =
   let base = region_of id in
-  {
-    id;
-    vel1 = Sysreg_file.create ();
-    vel2 = Sysreg_file.create ();
-    ctx_base = base;
-    host_ctx_base = Int64.add base 0x4000L;
-    page_base = Int64.add base 0x8000L;
-    in_vel2 = false;
-    nested_launched = false;
-    used_lrs = 0;
-  }
+  let t =
+    {
+      id;
+      vel1 = Sysreg_file.create ();
+      vel2 = Sysreg_file.create ();
+      ctx_base = base;
+      host_ctx_base = Int64.add base 0x4000L;
+      page_base = Int64.add base 0x8000L;
+      in_vel2 = false;
+      nested_launched = false;
+      used_lrs = 0;
+    }
+  in
+  reset t;
+  t
 
 (* Reads/writes of the virtual EL2 file. *)
 let read_vel2 t r = Sysreg_file.read t.vel2 r

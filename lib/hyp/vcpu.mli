@@ -37,6 +37,10 @@ type t = {
 val region_of : int -> int64
 val create : id:int -> t
 
+val reset : t -> unit
+(** Back to {!create}'s run state: both virtual files at reset, in
+    virtual EL1, no nested VM launched, no list registers in use. *)
+
 val read_vel2 : t -> Sysreg.t -> int64
 val write_vel2 : t -> Sysreg.t -> int64 -> unit
 val read_vel1 : t -> Sysreg.t -> int64

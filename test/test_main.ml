@@ -18,6 +18,7 @@ let () =
       ("fault", Test_fault.suite);
       ("properties", Test_properties.suite);
       ("fuzz", Test_fuzz.suite);
+      ("reuse", Test_reuse.suite);
       ("trace", Test_trace.suite);
       ("snap", Test_snap.suite);
       ("supervision", Test_supervise.suite);
