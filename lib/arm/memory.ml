@@ -114,19 +114,6 @@ let page_offset addr = byte_index addr
 
 let unobserved t = Option.is_none t.on_write
 
-let nonzero_words t ~base ~count =
-  check_aligned base;
-  let acc = ref [] in
-  for i = count - 1 downto 0 do
-    let addr = Int64.add base (Int64.of_int (8 * i)) in
-    let p = find_page t (page_index addr) in
-    if p != no_page then begin
-      let v = get_word p (byte_index addr) in
-      if not (Int64.equal v 0L) then acc := (addr, v) :: !acc
-    end
-  done;
-  !acc
-
 let add_mmio_region t ~start ~len ~name =
   t.mmio <- (start, Int64.add start len, name) :: t.mmio
 

@@ -34,12 +34,6 @@ val write64 : t -> int64 -> int64 -> unit
     at {!page_offset}-relative offsets — see
     {!Sysreg_file.to_page}/{!Sysreg_file.of_page}). *)
 
-val nonzero_words : t -> base:int64 -> count:int -> (int64 * int64) list
-(** The nonzero words among the [count] consecutive words from [base],
-    as (address, value) in ascending address order.  Allocates only for
-    the nonzero words.
-    @raise Invalid_argument on an unaligned [base]. *)
-
 val page_of : t -> int64 -> Bytes.t
 (** The backed page holding [addr], or a zero-length [Bytes.t] when the
     page is unbacked (it reads as zero).  Creates nothing. *)

@@ -161,14 +161,38 @@ let file_obs (file : Sysreg_file.t) =
   done;
   b
 
-(* The scratch window's nonzero words keyed by address. *)
+(* The scratch window's nonzero words keyed by address.  The window lies
+   inside one page, so it is read straight from that page's bytes. *)
+let scratch_addr = Int64.of_int Gen.scratch_base
+let scratch_words = Gen.scratch_len / 8
+
+let () =
+  let last = Int64.add scratch_addr (Int64.of_int (Gen.scratch_len - 8)) in
+  assert (
+    Memory.page_offset last
+    = Memory.page_offset scratch_addr + Gen.scratch_len - 8)
+
 let mem_obs mem =
-  let words =
-    Memory.nonzero_words mem ~base:(Int64.of_int Gen.scratch_base)
-      ~count:(Gen.scratch_len / 8)
-  in
-  let b = Bytes.create (record_bytes * List.length words) in
-  List.iteri (fun j (addr, v) -> set_record b j ~key:addr ~value:v) words;
+  let page = Memory.page_of mem scratch_addr in
+  let off0 = Memory.page_offset scratch_addr in
+  let word k = Bytes.get_int64_ne page (off0 + (8 * k)) in
+  let n = ref 0 in
+  if Bytes.length page > 0 then
+    for k = 0 to scratch_words - 1 do
+      if not (Int64.equal (word k) 0L) then incr n
+    done;
+  let b = Bytes.create (record_bytes * !n) in
+  let j = ref 0 in
+  if !n > 0 then
+    for k = 0 to scratch_words - 1 do
+      let v = word k in
+      if not (Int64.equal v 0L) then begin
+        set_record b !j
+          ~key:(Int64.add scratch_addr (Int64.of_int (8 * k)))
+          ~value:v;
+        incr j
+      end
+    done;
   b
 
 (* --- the calling domain's column machines ---

@@ -9,16 +9,8 @@ type irq_record = {
   mutable target : int;    (* CPU for SPIs *)
 }
 
-let clear_record r =
-  r.state <- Irq.Inactive;
-  r.enabled <- false;
-  r.priority <- 0xa0;
-  r.target <- 0
-
 let fresh_record () =
-  let r = { state = Irq.Inactive; enabled = false; priority = 0; target = 0 } in
-  clear_record r;
-  r
+  { state = Irq.Inactive; enabled = false; priority = 0xa0; target = 0 }
 
 (* Fault-injection verdict for one raised interrupt. *)
 type disposition = Deliver | Drop | Duplicate
@@ -50,15 +42,6 @@ let create ~ncpus =
 let reset t =
   Hashtbl.reset t.banked;
   Hashtbl.reset t.shared;
-  t.enabled <- true
-
-let record_count t = Hashtbl.length t.banked + Hashtbl.length t.shared
-
-(* Every record back to [fresh_record]'s values, in place: the tables
-   keep their keys and their iteration order. *)
-let clear_records t =
-  Hashtbl.iter (fun _ r -> clear_record r) t.banked;
-  Hashtbl.iter (fun _ r -> clear_record r) t.shared;
   t.enabled <- true
 
 let record t ~cpu ~intid =

@@ -27,16 +27,6 @@ val reset : t -> unit
 (** Back to {!create}'s state: no interrupt records, distributor enabled.
     The [inject] hook is kept. *)
 
-val record_count : t -> int
-(** Records created so far (banked and shared). *)
-
-val clear_records : t -> unit
-(** Every existing record back to a fresh record's values in place
-    (inactive, disabled, default priority, target 0), distributor
-    enabled.  Keys and iteration order are kept, so this equals a
-    {!reset} followed by touching the same records in the same order —
-    allocation-free when that order is known not to have changed. *)
-
 val record : t -> cpu:int -> intid:int -> irq_record
 val enable : t -> cpu:int -> intid:int -> unit
 val disable : t -> cpu:int -> intid:int -> unit

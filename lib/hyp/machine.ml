@@ -265,25 +265,32 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
     hosts;
   t
 
-(* Back to the state [create] returned, keeping every allocation:
-   memory pages are zeroed in place, register files, meters and decode
-   caches reset, and the host exit plans and the funnel's compiled
-   sequences stay warm.  The wiring [create] installed (handlers,
-   hooks, the IPI path) is untouched.  A fault plan is the one part
-   [create] does not build: its schedule and PRNG are consumed by the
-   run, so a machine carrying one is refused. *)
+(* Back to the state [create] returned, keeping the allocations that
+   matter: memory pages are zeroed in place, register files, meters and
+   decode caches reset, and the host exit plans and the funnel's
+   compiled sequences stay warm.  The wiring [create] installed
+   (handlers, the IPI path) is untouched.  Reset covers only what
+   [create] builds, so a machine carrying anything else is refused
+   rather than half-restored: a fault plan (its schedule and PRNG are
+   consumed by the run), a memory write observer (a dirty tracker), a
+   device MMIO backend or a distributor injection hook. *)
 let reset t =
-  if t.fault <> None then
-    invalid_arg "Machine.reset: a machine with a fault plan cannot be reset";
+  let refuse what =
+    invalid_arg ("Machine.reset: cannot reset a machine carrying " ^ what)
+  in
+  if t.fault <> None then refuse "a fault plan";
+  if not (Arm.Memory.unobserved t.mem) then refuse "a memory write observer";
+  if
+    Array.exists
+      (function Some g -> g.Guest_hyp.on_mmio <> None | None -> false)
+      t.ghyps
+  then refuse "a device MMIO backend";
+  if t.dist.Gic.Dist.inject <> None then refuse "a distributor injection hook";
   Arm.Memory.reset t.mem;
   Array.iter Cpu.reset t.cpus;
   Array.iter Host_hyp.reset t.hosts;
   Array.iter (Option.iter Guest_hyp.reset) t.ghyps;
-  (* records are only ever added, so a count still at [init]'s SGIs means
-     the run created none: clear those in place, keeping their order *)
-  if Gic.Dist.record_count t.dist = sgi_count * ncpus t then
-    Gic.Dist.clear_records t.dist
-  else Gic.Dist.reset t.dist;
+  Gic.Dist.reset t.dist;
   init t
 
 (* Bring the stack up: plain VM scenarios just start the VM; nested

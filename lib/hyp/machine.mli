@@ -67,19 +67,21 @@ val create :
     address budget). *)
 
 val reset : t -> unit
-(** Put the machine back in the state {!create} returned, without
-    allocating: memory pages are zeroed in place; every CPU
+(** Put the machine back in the state {!create} returned, keeping its
+    allocations: memory pages are zeroed in place; every CPU
     ({!Cpu.reset}), host ({!Host_hyp.reset}), guest hypervisor
-    ({!Guest_hyp.reset}) and the distributor go back to creation
-    values, as do the invariant watermarks, violations, IRQ verdicts,
-    hangs and the SMP state.  Kept: the wiring {!create} installed
-    (handlers, hooks, IPI delivery), each CPU's feature record, and the
-    compiled routing caches — host exit plans and the guest access
-    funnel's sequences — which are keyed by routing state and stay
-    valid.  A reset machine's {!Snap} image equals a fresh machine's
-    byte for byte.
-    @raise Invalid_argument when the machine carries a fault plan (its
-    consumed schedule is not creation state). *)
+    ({!Guest_hyp.reset}) and the distributor ({!Gic.Dist.reset}) go
+    back to creation values, as do the invariant watermarks,
+    violations, IRQ verdicts, hangs and the SMP state.  Kept: the
+    wiring {!create} installed (handlers, IPI delivery), each CPU's
+    feature record, and the compiled routing caches — host exit plans
+    and the guest access funnel's sequences — which are keyed by
+    routing state and stay valid.  A reset machine's {!Snap} image
+    equals a fresh machine's byte for byte.
+    @raise Invalid_argument when the machine carries state {!create}
+    does not build: a fault plan (its schedule is consumed by the run),
+    a memory write observer ({!Mmu.Dirty}), a device MMIO backend
+    ([Guest_hyp.on_mmio]) or a distributor injection hook. *)
 
 val boot : t -> unit
 (** Bring the stack up; nested scenarios launch the nested VM end to end

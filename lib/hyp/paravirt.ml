@@ -178,7 +178,7 @@ let rewrite (config : Config.t) ~page_base (insn : Insn.t) : Insn.t list =
 
 let page_base_reg = 28
 
-let patch_routed route ~page_base (w : int) : int =
+let patch_word route ~page_base (w : int) : int =
   match Arm.Encode.decode w with
   | Arm.Encode.D_unknown _ -> w
   | Arm.Encode.D_insn insn -> begin
@@ -219,12 +219,9 @@ let patch_routed route ~page_base (w : int) : int =
       | Trap_rules.Undef -> w
     end
 
-let patch_word config ~page_base w =
-  patch_routed (target_router config ~page_base) ~page_base w
-
 let patch_text config ~page_base words =
   let route = target_router config ~page_base in
-  let out = Array.map (patch_routed route ~page_base) words in
+  let out = Array.map (patch_word route ~page_base) words in
   if !Trace.on then begin
     let changed = ref 0 in
     Array.iteri (fun i w -> if w <> out.(i) then incr changed) words;

@@ -75,9 +75,7 @@ val page_base_reg : int
 (** x28, holding the shared-page base by convention, so binary patching
     stays word-for-word. *)
 
-val patch_word : Config.t -> page_base:int64 -> int -> int
-(** Patch one A64 word of a hypervisor text section; unrecognized and
-    untouched words pass through verbatim (Section 4's "fully automated
-    approach"). *)
-
 val patch_text : Config.t -> page_base:int64 -> int array -> int array
+(** Patch an A64 hypervisor text section word for word; unrecognized
+    and untouched words pass through verbatim (Section 4's "fully
+    automated approach"). *)
