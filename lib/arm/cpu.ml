@@ -42,17 +42,13 @@ type t = {
      switches, so the view is reused while the raw value is unchanged. *)
   mutable hcr_raw : int64;
   mutable hcr_cached : Hcr.view;
-  (* Per-CPU decode cache (see Xlate): owned here so no machine can
-     evict another's entries. *)
-  xlate : Xlate.t;
 }
 
 and handler = t -> Exn.entry -> unit
 
 (* Architectural and run state back to power-on: registers, PSTATE, the
    system-register file, the GPR snapshot stack, the routing knobs and
-   the meter's counts; the decode cache is emptied in place (see
-   [Xlate.reset]).  What the CPU is wired to — memory, handlers, the
+   the meter's counts.  What the CPU is wired to — memory, handlers, the
    feature set, the meter's table and lane — and the decoded HCR, which
    revalidates against HCR_EL2 on every read, stay. *)
 let reset t =
@@ -64,8 +60,7 @@ let reset t =
   t.saved_regs <- [];
   t.nv2_mask <- Trap_rules.nv2_full;
   t.expose <- Expose.Policy.none;
-  Cost.reset t.meter;
-  Xlate.reset t.xlate
+  Cost.reset t.meter
 
 let create ?(features = Features.v Features.V8_0) ?table ?mem () =
   let mem = match mem with Some m -> m | None -> Memory.create () in
@@ -86,7 +81,6 @@ let create ?(features = Features.v Features.V8_0) ?table ?mem () =
       expose = Expose.Policy.none;
       hcr_raw = 0L;
       hcr_cached = Hcr.decode 0L;
-      xlate = Xlate.create ();
     }
   in
   reset t;

@@ -44,9 +44,6 @@ type t = {
       (** raw HCR_EL2 value behind {!field-hcr_cached}; the decoded view is
           refreshed only when this changes *)
   mutable hcr_cached : Hcr.view;
-  xlate : Xlate.t;
-      (** per-CPU decode cache (each machine gets its own; the
-          interpreter decodes through it) *)
 }
 
 and handler = t -> Exn.entry -> unit
@@ -63,8 +60,7 @@ val create :
 val reset : t -> unit
 (** Back to {!create}'s state: PC, GPRs, PSTATE, the system-register
     file, the GPR snapshot stack, [el1_vectors], [nv2_mask], [expose],
-    the meter's counts ({!Cost.reset}) and the decode cache
-    ({!Xlate.reset}, emptied in place).  Memory, handlers, [features]
+    and the meter's counts ({!Cost.reset}).  Memory, handlers, [features]
     (plan caches key on its physical identity), the meter's table and
     lane, and the decoded-HCR cache are kept. *)
 

@@ -2,13 +2,12 @@
 
    Programs are stored as 32-bit words in simulated physical memory
    (packed two per 64-bit word); the interpreter fetches at PC, decodes
-   through the CPU's decode cache ({!Xlate}) and executes (Cpu.exec),
-   with all the trap machinery applying.  This is what makes the
-   binary-patching flavour of the paper's paravirtualization (Section 4)
-   a real execution path: a guest hypervisor image can be patched
-   word-for-word in memory and then run from memory.  Every instruction
-   is fetched afresh, and the decode cache is keyed by the word itself,
-   so patched code takes effect on the next fetch. *)
+   (Encode.decode) and executes (Cpu.exec), with all the trap machinery
+   applying.  This is what makes the binary-patching flavour of the
+   paper's paravirtualization (Section 4) a real execution path: a guest
+   hypervisor image can be patched word-for-word in memory and then run
+   from memory.  Every instruction is fetched and decoded afresh, so
+   patched code takes effect on the next fetch. *)
 
 type outcome =
   | Halted of int64   (* fetched an unencodable word at this address,
@@ -98,7 +97,6 @@ let run ?on_step ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
     Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:entry
       ~a1:(Int64.of_int max_insns) Trace.Run_begin;
   let mem = cpu.Cpu.mem in
-  let xc = cpu.Cpu.xlate in
   let rec step budget =
     if stop cpu then Stopped
     else if budget <= 0 then Limit
@@ -109,7 +107,7 @@ let run ?on_step ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
         let w = fetch32 mem pc in
         if w = halt_marker then Breakpoint
         else
-          match Xlate.decode xc w with
+          match Encode.decode w with
           | Encode.D_unknown _ -> Halted pc
           | Encode.D_insn insn ->
             (match on_step with Some f -> f cpu | None -> ());
@@ -122,9 +120,7 @@ let run ?on_step ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
       ~detail:(outcome_to_string outcome) Trace.Run_end;
   outcome
 
-(* Disassemble a range of memory, for debugging and the examples.  Goes
-   through the pure decoder directly: a debugging view must not mutate
-   any CPU's execution caches. *)
+(* Disassemble a range of memory, for debugging and the examples. *)
 let disassemble mem ~base ~count =
   List.init count (fun i ->
       let addr = Int64.add base (Int64.of_int (i * 4)) in

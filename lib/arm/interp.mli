@@ -7,9 +7,8 @@
     execution path: patch a guest-hypervisor image word-for-word in
     memory ({!Hyp.Paravirt.patch_text}) and run it from memory.
 
-    Every instruction is fetched afresh and decoded through the CPU's
-    word-keyed decode cache ({!Xlate}), so a patched word takes effect
-    on its next fetch. *)
+    Every instruction is fetched and decoded afresh, so a patched word
+    takes effect on its next fetch. *)
 
 type outcome =
   | Halted of int64
@@ -52,4 +51,5 @@ val run :
     address. *)
 
 val disassemble : Memory.t -> base:int64 -> count:int -> (int64 * string) list
-(** Decodes through the pure decoder, never a CPU's execution cache. *)
+(** The address and text of [count] consecutive words from [base];
+    a word that does not decode shows as [.word]. *)

@@ -266,8 +266,8 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
   t
 
 (* Back to the state [create] returned, keeping the allocations that
-   matter: memory pages are zeroed in place, register files, meters and
-   decode caches reset, and the host exit plans and the funnel's
+   matter: memory pages are zeroed in place, register files and meters
+   reset, and the host exit plans and the funnel's
    compiled sequences stay warm.  The wiring [create] installed
    (handlers, the IPI path) is untouched.  Reset covers only what
    [create] builds, so a machine carrying anything else is refused

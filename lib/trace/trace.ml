@@ -3,11 +3,11 @@
 
    The design constraint is the disabled path: every emission site in the
    simulator is guarded by [if !Trace.on then ...], so a run with tracing
-   off pays one load-and-branch per site and allocates nothing — the
-   bench guard against BENCH_PR7.json holds the simulator to that.  When
-   tracing is on, events are written in place into preallocated mutable
-   records (the ring never allocates per event; only the argument strings
-   the call sites build do).
+   off pays one load-and-branch per site and allocates nothing — CI's
+   perfbench A/B (.github/perf-ab.sh, tracing off) bounds the minor words
+   per simulated instruction.  When tracing is on, events are written in
+   place into preallocated mutable records (the ring never allocates per
+   event; only the argument strings the call sites build do).
 
    Time is simulated time, never wall clock: an event's [cycles] come
    from the emitting meter where one exists, and the sink carries the

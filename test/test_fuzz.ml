@@ -1,7 +1,7 @@
 (* Tests for the differential conformance fuzzer: encode/decode
-   roundtrip over the full instruction set, decode-cache soundness under
-   adversarial slot collisions, trap-rule coverage of the generator,
-   shrinker behaviour, corpus replay, and campaign determinism.
+   roundtrip over the full instruction set, trap-rule coverage of the
+   generator, shrinker behaviour, corpus replay, and campaign
+   determinism.
 
    Every seeded assertion interpolates its seed into the failure
    message, so a red run can be reproduced without re-reading the test
@@ -109,21 +109,6 @@ let test_unencodable_raises () =
           (Insn.to_string insn) w
       | exception Invalid_argument _ -> ())
     shapes
-
-(* --- satellite: decode_cached = decode under slot collisions --------- *)
-
-let test_decode_cache_collisions =
-  QCheck.Test.make ~count:1000
-    ~name:"decode_cached = decode under adversarial slot collisions"
-    QCheck.(pair arb_encodable (int_range 1 4096))
-    (fun (insn, k) ->
-      (* two words congruent modulo the cache size fight over one
-         direct-mapped slot; alternating lookups force evictions *)
-      let w1 = Encode.encode insn in
-      let w2 = (w1 + (k * Arm.Xlate.decode_cache_size)) land 0xffff_ffff in
-      let xc = Arm.Xlate.create () in
-      let agree w = Arm.Xlate.decode xc w = Encode.decode w in
-      agree w1 && agree w2 && agree w1 && agree w2)
 
 (* --- satellite: coverage matrix -------------------------------------- *)
 
@@ -320,7 +305,6 @@ let suite =
     qtest test_roundtrip;
     Alcotest.test_case "encode refuses unencodable shapes" `Quick
       test_unencodable_raises;
-    qtest test_decode_cache_collisions;
     Alcotest.test_case "generator covers every trap rule per config" `Quick
       test_coverage_matrix;
     Alcotest.test_case "every nested config has trap rules" `Quick

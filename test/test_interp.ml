@@ -93,30 +93,6 @@ let test_budget_nonpositive () =
           Interp.pp_outcome o)
     [ 0; -1; -1000 ]
 
-(* The decode cache must be invisible: same result as a direct decode for
-   any word, including two words that collide in the same cache slot.
-   The cache is per-CPU state now (Xlate), so exercise a fresh one. *)
-let test_decode_cache_equivalence () =
-  let xc = Arm.Xlate.create () in
-  let words =
-    List.map Encode.encode
-      [ Insn.Nop; Insn.Hvc 7; Insn.Eret;
-        Insn.Mrs (3, Sysreg.direct Sysreg.HCR_EL2);
-        Insn.Msr (Sysreg.direct Sysreg.VTTBR_EL2, Insn.Reg 4);
-        Insn.B 5; Insn.Cbnz (2, -3) ]
-    @ [ 0x12345678; 0xdeadbeef; 0 ]
-  in
-  (* same-slot partners: identical low bits select the same cache line *)
-  let colliders = List.map (fun w -> (w + 0x400) land 0xffff_ffff) words in
-  List.iter
-    (fun w ->
-      (* twice: once cold (fills the slot), once warm (served from it) *)
-      for _ = 1 to 2 do
-        let direct = Encode.decode w and cached = Arm.Xlate.decode xc w in
-        if direct <> cached then Alcotest.failf "word 0x%08x: cache differs" w
-      done)
-    (words @ colliders @ words)
-
 (* --- alignment, runtime patching, route changes ----------------------- *)
 
 (* Regression: [fetch32] used to silently read the containing aligned
@@ -149,10 +125,9 @@ let test_misaligned_pc_halts () =
     Alcotest.failf "expected halt after eret, got %a" Interp.pp_outcome o
 
 (* Self-modifying code (the Section-4 binary-patching path at runtime): a
-   program that overwrites two of its own later instructions, whose
-   previous words already sit in the decode cache.  The cache is keyed by
-   the word, so the patched words must be decoded and executed, never the
-   poison they replaced. *)
+   program that overwrites two of its own later instructions.  The
+   patched words must be decoded and executed, never the poison they
+   replaced. *)
 let test_self_modifying_code () =
   let data = 0x9000L in
   let patch_at = Int64.add base 16L in (* instructions 4 and 5 *)
@@ -166,10 +141,6 @@ let test_self_modifying_code () =
   Arm.Memory.write64 cpu.Cpu.mem data packed_nops;
   Arm.Memory.write64 cpu.Cpu.mem (Int64.add data 8L) patch_at;
   let poison = [ Insn.Mov (2, Insn.Imm 99L); Insn.Mov (4, Insn.Imm 77L) ] in
-  (* warm the decode cache with the poison words *)
-  List.iter
-    (fun i -> ignore (Arm.Xlate.decode cpu.Cpu.xlate (Encode.encode i)))
-    poison;
   Interp.load_program cpu.Cpu.mem ~base
     ([ Insn.Mov (1, Insn.Imm data);         (* 0 *)
        Insn.Ldr (0, Insn.Based (1, 0L));    (* 1: packed nop pair *)
@@ -303,7 +274,6 @@ let suite =
     ("cbz taken", `Quick, test_cbz_taken_and_not);
     ("instruction budget", `Quick, test_budget_limit);
     ("non-positive budget returns Limit", `Quick, test_budget_nonpositive);
-    ("decode cache is invisible", `Quick, test_decode_cache_equivalence);
     ("misaligned PC is a deterministic halt", `Quick,
      test_misaligned_pc_halts);
     ("self-modifying code re-decodes patched words", `Quick,

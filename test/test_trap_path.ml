@@ -84,20 +84,25 @@ let run_dirty col =
   in
   hex (Shard.fnv1a_64 ~init:(Shard.fnv1a_64 log) (Snap.to_string m))
 
+(* Every nested column again under an OoH timer+gic-lrs grant: the
+   image's meters then also carry the per-feature exposed-access counts. *)
+let ooh = Expose.Policy.(of_list [ Timer; Gic_lrs ])
+
 let pins () =
   List.map (fun (name, col) -> (name, run_column col)) columns
+  @ List.map
+      (fun (name, col) -> (name ^ "+ooh", run_column ~expose:ooh col))
+      (List.tl columns)
   @ [
       ("v8.3+dirty", run_dirty (nested Config.Hw_v8_3));
       ("neve-vhe+dirty", run_dirty (nested ~vhe:true Config.Hw_neve));
-      ( "neve-vhe+ooh",
-        run_column
-          ~expose:Expose.Policy.(of_list [ Timer; Gic_lrs ])
-          (nested ~vhe:true Config.Hw_neve) );
       ("v8.3-pv", run_column (nested Config.Pv_v8_3));
       ("neve-pv", run_column (nested Config.Pv_neve));
     ]
 
-(* Captured on the routed (pre-compilation) exit path. *)
+(* Captured on the routed (pre-compilation) exit path, except the
+   v8.3+ooh, v8.3-vhe+ooh and neve+ooh rows, captured later on the
+   compiled path. *)
 let pinned =
   [
     ("vm", "ea5eae743309d86b");
@@ -107,6 +112,9 @@ let pinned =
     ("neve-vhe", "2ea86876bef9991e");
     ("v8.3+dirty", "fe3bd77eb62c109f");
     ("neve-vhe+dirty", "2af9ea34d7f80a36");
+    ("v8.3+ooh", "0c99274128b499d3");
+    ("v8.3-vhe+ooh", "9433eb29246e60c9");
+    ("neve+ooh", "7700b1f8ce657d1f");
     ("neve-vhe+ooh", "740f8797c665efec");
     ("v8.3-pv", "29a52526c3a9cf84");
     ("neve-pv", "9b358448ffa359eb");

@@ -444,12 +444,14 @@ let test_table6_goldens () =
       check (Alcotest.float 0.5) "cycles" cycles r.Micro.cycles;
       check (Alcotest.float 0.5) "traps" traps r.Micro.traps)
     expect;
-  let x86_vm = Micro.measure_x86 ~iters:4 Scenario.X86_vm Micro.Hypercall in
-  let x86_nested =
-    Micro.measure_x86 ~iters:4 Scenario.X86_nested Micro.Hypercall
-  in
-  check (Alcotest.float 0.5) "x86 VM cycles" 1230. x86_vm.Micro.cycles;
-  check (Alcotest.float 0.5) "x86 nested cycles" 37255. x86_nested.Micro.cycles
+  (* x86 records every exit as one trap class, so the trap count is
+     also its whole per-class breakdown *)
+  List.iter
+    (fun (col, cycles, traps) ->
+      let r = Micro.measure_x86 ~iters:4 col Micro.Hypercall in
+      check (Alcotest.float 0.5) "x86 cycles" cycles r.Micro.cycles;
+      check (Alcotest.float 0.5) "x86 traps" traps r.Micro.traps)
+    [ (Scenario.X86_vm, 1230., 1.); (Scenario.X86_nested, 37255., 5.) ]
 
 let suite =
   [
